@@ -39,7 +39,9 @@
 // their ratio. Virtual-time results (completion, committed counts) are
 // deterministic and identical across hosts; host rates live in a
 // separate "host" report section that tools/bench_diff.py treats as
-// machine-local (only the speedup ratio is gated, loosely).
+// machine-local (only the speedup ratio is gated, loosely). The host
+// section also carries the run's peak RSS and host bytes per tuple byte
+// (peak RSS over the populated tuple bytes), info only.
 //
 // Built-in gates (process exits non-zero on failure):
 //   * both phases commit every script (same schedule, no lost work);
@@ -62,6 +64,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -243,6 +246,19 @@ PhaseStats RunPhase(Rig* rig, bool unified) {
   return out;
 }
 
+/// Peak resident memory of this process in MiB (`VmHWM` from
+/// /proc/self/status; 0 where that file does not exist).
+double PeakRssMb() {
+  std::ifstream f("/proc/self/status");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return 0;
+}
+
 double Rate(const PhaseStats& p) {
   return p.host_sec > 0 ? static_cast<double>(p.committed) / p.host_sec : 0;
 }
@@ -341,6 +357,12 @@ bool PrintSimScale() {
   const double sim_gb = SimDiskGb(rig.db.get());
   std::printf("simulated disk traffic: %.2f GB (checkpoint + duplexed "
               "log, whole run)\n", sim_gb);
+  // Host memory over the whole run (populate, checkpoint, both phases):
+  // the engine's partitions plus every simulated disk page it holds.
+  const double peak_rss_mb = PeakRssMb();
+  const double host_bytes_per_tuple_byte = peak_rss_mb / data_mb;
+  std::printf("host memory: %.0f MB peak RSS, %.1f host bytes per tuple "
+              "byte\n", peak_rss_mb, host_bytes_per_tuple_byte);
 
   // Deterministic virtual-time results: safe to diff across machines.
   report.Headline("txns_committed", static_cast<int64_t>(unified.committed));
@@ -361,6 +383,8 @@ bool PrintSimScale() {
   host["host_seconds_legacy"] = legacy.host_sec;
   host["host_seconds_unified"] = unified.host_sec;
   host["floor_sim_txns_per_host_sec"] = Floor();
+  host["peak_rss_mb"] = peak_rss_mb;
+  host["host_bytes_per_tuple_byte"] = host_bytes_per_tuple_byte;
   report.Set("host", std::move(host));
   (void)report.Write();
   return ok;

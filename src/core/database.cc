@@ -314,7 +314,7 @@ void Database::ApplyCommitDurability(uint64_t redo_bytes) {
           (redo_bytes + opts_.log_page_bytes - 1) / opts_.log_page_bytes;
       uint64_t start = vnow();
       uint64_t done = start;
-      std::vector<uint8_t> marker(16, 0);
+      const sim::PageRef marker = sim::MakePage(std::vector<uint8_t>(16, 0));
       for (uint64_t p = 0; p < pages; ++p) {
         done = log_disks_->WritePage(kWalPageBase + wal_page_counter_++,
                                      marker, done,
@@ -348,7 +348,7 @@ void Database::FlushCommitGroup() {
   // the flushing worker's own time; members from other workers recorded
   // their precommit times above (`since`) and wait the difference.
   uint64_t done = vnow();
-  std::vector<uint8_t> marker(16, 0);
+  const sim::PageRef marker = sim::MakePage(std::vector<uint8_t>(16, 0));
   for (uint64_t p = 0; p < pages; ++p) {
     done = log_disks_->WritePage(kWalPageBase + wal_page_counter_++, marker,
                                  done, sim::SeekClass::kSequential);

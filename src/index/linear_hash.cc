@@ -204,6 +204,7 @@ Status LinearHash::SplitOne(EntityStore& store, Meta* meta) {
   }
 
   // Redistribute: build two fresh chains.
+  std::vector<EntityAddr> fresh_nodes;
   auto build_chain = [&](const std::vector<node::Entry>& es)
       -> Result<EntityAddr> {
     EntityAddr head = EntityAddr::Null();
@@ -216,6 +217,7 @@ Status LinearHash::SplitOne(EntityStore& store, Meta* meta) {
       }
       auto addr = store.Insert(segment_, n.Serialize());
       if (!addr.ok()) return addr.status();
+      fresh_nodes.push_back(addr.value());
       if (head.IsNull()) {
         head = addr.value();
       } else {
@@ -249,7 +251,19 @@ Status LinearHash::SplitOne(EntityStore& store, Meta* meta) {
   if (!move_head.ok()) return move_head.status();
   meta->directory[victim] = stay_head.value();
   meta->directory[new_bucket] = move_head.value();
-  MMDB_RETURN_IF_ERROR(WriteMeta(store, *meta));
+  Status st = WriteMeta(store, *meta);
+  if (st.IsFull()) {
+    // Insert checked that the grown directory fits the metadata entity's
+    // partition, but the fresh chain nodes may have been allocated in that
+    // same partition since. Skip the split, as Insert does when the check
+    // fails: free the fresh nodes; the stored directory and the victim
+    // chain are unchanged.
+    for (const EntityAddr& n : fresh_nodes) {
+      MMDB_RETURN_IF_ERROR(store.Delete(n));
+    }
+    return Status::OK();
+  }
+  MMDB_RETURN_IF_ERROR(st);
   for (const EntityAddr& n : old_nodes) {
     MMDB_RETURN_IF_ERROR(store.Delete(n));
   }

@@ -2,10 +2,10 @@
 
 namespace mmdb {
 
-void ArchiveManager::ArchiveCheckpointImage(
-    PartitionId pid, uint64_t first_page,
-    const std::vector<std::vector<uint8_t>>& pages) {
-  images_[pid] = ImageCopy{first_page, pages};
+void ArchiveManager::ArchiveCheckpointImage(PartitionId pid,
+                                            uint64_t first_page,
+                                            std::vector<sim::PageRef> pages) {
+  images_[pid] = ImageCopy{first_page, std::move(pages)};
   ++archived_images_;
 }
 
@@ -13,7 +13,7 @@ Status ArchiveManager::RollLog(sim::DuplexedDisk* log_disks,
                                uint64_t up_to_lsn) {
   for (uint64_t lsn = rolled_up_to_; lsn < up_to_lsn; ++lsn) {
     if (log_pages_.count(lsn) != 0) continue;
-    std::vector<uint8_t> page;
+    sim::PageRef page;
     uint64_t done = 0;
     Status st = log_disks->ReadPage(lsn, /*now_ns=*/0,
                                     sim::SeekClass::kSequential, &page, &done);

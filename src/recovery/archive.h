@@ -39,12 +39,15 @@ class ArchiveManager {
   ArchiveManager& operator=(const ArchiveManager&) = delete;
 
   /// Archives a committed checkpoint image of `pid` that lives at
-  /// checkpoint-disk page `first_page` (track of `pages` pages).
+  /// checkpoint-disk page `first_page` (track of `pages` pages). The
+  /// archive keeps the refs, sharing the buffers the checkpoint disk holds.
   void ArchiveCheckpointImage(PartitionId pid, uint64_t first_page,
-                              const std::vector<std::vector<uint8_t>>& pages);
+                              std::vector<sim::PageRef> pages);
 
   /// Rolls log pages with LSN < `up_to_lsn` from the log disk onto the
-  /// archive (idempotent; already-rolled pages are skipped).
+  /// archive (idempotent; already-rolled pages are skipped). Each page is
+  /// read through the duplex (so the disk timeline and counters advance as
+  /// for any read) and the verified ref is kept, not copied.
   Status RollLog(sim::DuplexedDisk* log_disks, uint64_t up_to_lsn);
 
   /// Media recovery: restore every archived partition image onto the
@@ -58,20 +61,20 @@ class ArchiveManager {
   /// Archived log pages (LSN → raw page bytes). The re-silverer restores
   /// from here any page the healthy duplex member can no longer serve
   /// (e.g. a latent-corrupt sector discovered during the copy).
-  const std::map<uint64_t, std::vector<uint8_t>>& log_page_archive() const {
+  const std::map<uint64_t, sim::PageRef>& log_page_archive() const {
     return log_pages_;
   }
 
  private:
   struct ImageCopy {
     uint64_t first_page;
-    std::vector<std::vector<uint8_t>> pages;
+    std::vector<sim::PageRef> pages;
   };
 
   // Latest archived image per partition (tape would keep all; media
   // recovery only needs the latest plus the retained log).
   std::unordered_map<PartitionId, ImageCopy> images_;
-  std::map<uint64_t, std::vector<uint8_t>> log_pages_;
+  std::map<uint64_t, sim::PageRef> log_pages_;
   uint64_t rolled_up_to_ = 0;
   uint64_t archived_images_ = 0;
   uint64_t archived_log_pages_ = 0;

@@ -90,7 +90,17 @@ Status Checkpointer::RunOne(CheckpointRequest* req, uint32_t stream) {
   MMDB_RETURN_IF_ERROR(db.DrainAllStreams(db.clock_.now_ns()));
 
   // Step 4: copy the partition at memory speed, then release the lock.
-  std::vector<uint8_t> image = p->image();
+  // The copy is cut into page buffers at once: the checkpoint disk and the
+  // archive share them.
+  const std::vector<uint8_t>& image = p->image();
+  uint32_t page_bytes = db.opts_.log_page_bytes;
+  std::vector<sim::PageRef> pages;
+  for (size_t off = 0; off < image.size(); off += page_bytes) {
+    size_t n = std::min<size_t>(page_bytes, image.size() - off);
+    pages.push_back(sim::MakePage(
+        std::vector<uint8_t>(image.begin() + static_cast<long>(off),
+                             image.begin() + static_cast<long>(off + n))));
+  }
   uint32_t bin_index = p->bin_index();
   db.MainWork(db.opts_.costs.i_copy_fixed +
               db.opts_.costs.i_copy_add * static_cast<double>(image.size()));
@@ -170,13 +180,6 @@ Status Checkpointer::RunOne(CheckpointRequest* req, uint32_t stream) {
     Status hs = db.fault_->OnSite(&ev);
     if (!hs.ok()) return rollback_install(hs);
   }
-  uint32_t page_bytes = db.opts_.log_page_bytes;
-  std::vector<std::vector<uint8_t>> pages;
-  for (size_t off = 0; off < image.size(); off += page_bytes) {
-    size_t n = std::min<size_t>(page_bytes, image.size() - off);
-    pages.emplace_back(image.begin() + static_cast<long>(off),
-                       image.begin() + static_cast<long>(off + n));
-  }
   uint64_t done = db.checkpoint_disk_->WriteTrack(
       first_page, pages, db.clock_.now_ns(), sim::SeekClass::kNear);
   db.clock_.AdvanceTo(done);
@@ -185,7 +188,7 @@ Status Checkpointer::RunOne(CheckpointRequest* req, uint32_t stream) {
   // not install the new checkpoint: the previous image stays authoritative.
   st = fault::Barrier(db.fault_.get());
   if (!st.ok()) return rollback_install(st);
-  db.archive_->ArchiveCheckpointImage(pid, first_page, pages);
+  db.archive_->ArchiveCheckpointImage(pid, first_page, std::move(pages));
 
   // Steps 6b-7: the descriptor-row commit, catalog-root update, and bin
   // reset form one atomic stable transition. Without it, a crash between

@@ -46,19 +46,18 @@ Status Resilverer::Start(int target, uint64_t now_ns) {
 }
 
 Status Resilverer::ReadSource(uint64_t page_no, uint64_t now_ns,
-                              uint64_t* done_ns, std::vector<uint8_t>* data) {
+                              uint64_t* done_ns, sim::PageRef* data) {
   sim::Disk& src = disks_->member(1 - target_);
   uint64_t t = now_ns;
   Status st;
   for (uint32_t attempt = 0; attempt < sim::kReadRetryAttempts; ++attempt) {
-    data->clear();
     st = src.ReadPage(page_no, t, sim::SeekClass::kSequential, data, done_ns);
     if (st.ok() || !st.IsIOError()) break;
     t += (attempt + 1) * sim::kReadRetryBackoffNs;
   }
   if (st.ok()) return st;
   // The healthy member cannot serve this page (latent corruption or a
-  // persistent error): restore it from the archive copy instead.
+  // persistent error): restore it from the archive's ref instead.
   auto it = archive_->log_page_archive().find(page_no);
   if (it == archive_->log_page_archive().end()) return st;
   *data = it->second;
@@ -75,7 +74,7 @@ Status Resilverer::Step(uint64_t now_ns, uint64_t* done_ns, bool* done) {
   }
   sim::Disk& dst = disks_->member(target_);
   uint64_t t = now_ns;
-  std::vector<uint8_t> page;
+  sim::PageRef page;
   for (uint32_t n = 0; n < config_.pages_per_step && cursor_ < worklist_.size();
        ++n, ++cursor_) {
     MMDB_RETURN_IF_ERROR(fault::Barrier(fault_));

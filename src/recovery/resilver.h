@@ -68,7 +68,7 @@ class Resilverer {
   /// Reads one page from the healthy member with bounded retry on
   /// transient errors, falling back to the archive copy.
   Status ReadSource(uint64_t page_no, uint64_t now_ns, uint64_t* done_ns,
-                    std::vector<uint8_t>* data);
+                    sim::PageRef* data);
 
   Config config_;
   sim::DuplexedDisk* disks_;

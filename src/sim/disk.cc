@@ -36,49 +36,64 @@ uint64_t Disk::PositioningNs(SeekClass seek) const {
   return static_cast<uint64_t>(ms * kMsToNs);
 }
 
-void Disk::StorePage(uint64_t page_no, const std::vector<uint8_t>& data) {
-  store_[page_no] = data;
-  crc_[page_no] = Crc32(data.data(), data.size());
-}
-
 bool Disk::PageClean(uint64_t page_no) const {
   auto it = store_.find(page_no);
   if (it == store_.end()) return false;
-  auto c = crc_.find(page_no);
-  if (c == crc_.end()) return true;
-  return Crc32(it->second.data(), it->second.size()) == c->second;
+  const std::vector<uint8_t>& bytes = *it->second.bytes;
+  return Crc32(bytes.data(), bytes.size()) == it->second.crc;
 }
 
 std::vector<uint64_t> Disk::StoredPageNumbers() const {
   std::vector<uint64_t> pages;
   pages.reserve(store_.size());
-  for (const auto& [page_no, bytes] : store_) pages.push_back(page_no);
+  for (const auto& [page_no, page] : store_) pages.push_back(page_no);
   std::sort(pages.begin(), pages.end());
   return pages;
 }
 
-Status Disk::CheckReadPage(uint64_t page_no, std::vector<uint8_t>* stored,
+Result<Disk::StoredPage*> Disk::Find(uint64_t page_no) {
+  auto it = store_.find(page_no);
+  if (it == store_.end()) {
+    return Status::NotFound("disk " + name_ + ": page " +
+                            std::to_string(page_no) + " never written");
+  }
+  return &it->second;
+}
+
+Status Disk::CheckReadPage(uint64_t page_no, StoredPage* stored,
                            uint64_t now_ns) {
   if (fault_ != nullptr && fault_->armed()) {
+    // The hook may flip stored bits (latent corruption). It works on a
+    // private copy, which replaces only this disk's ref if it changed:
+    // the mirror and the archive keep the bytes as written.
+    std::vector<uint8_t> bytes = *stored->bytes;
     fault::SiteEvent ev;
     ev.site = fault::Site::kDiskRead;
     ev.device = name_.c_str();
     ev.page_no = page_no;
     ev.now_ns = now_ns;
-    ev.data = stored;
-    MMDB_RETURN_IF_ERROR(fault_->OnSite(&ev));
+    ev.data = &bytes;
+    Status st = fault_->OnSite(&ev);
+    if (bytes != *stored->bytes) stored->bytes = MakePage(std::move(bytes));
+    MMDB_RETURN_IF_ERROR(st);
   }
-  auto c = crc_.find(page_no);
-  if (c != crc_.end() &&
-      Crc32(stored->data(), stored->size()) != c->second) {
+  const std::vector<uint8_t>& bytes = *stored->bytes;
+  if (Crc32(bytes.data(), bytes.size()) != stored->crc) {
     return Status::Corruption("latent sector corruption on disk " + name_ +
                               " page " + std::to_string(page_no));
   }
   return Status::OK();
 }
 
-uint64_t Disk::WritePage(uint64_t page_no, const std::vector<uint8_t>& data,
-                         uint64_t now_ns, SeekClass seek) {
+uint64_t Disk::WritePage(uint64_t page_no, PageRef data, uint64_t now_ns,
+                         SeekClass seek) {
+  uint32_t crc = Crc32(data->data(), data->size());
+  return WriteStored(page_no, StoredPage{std::move(data), crc}, now_ns, seek);
+}
+
+uint64_t Disk::WriteStored(uint64_t page_no, const StoredPage& page,
+                           uint64_t now_ns, SeekClass seek) {
+  const std::vector<uint8_t>& data = *page.bytes;
   MMDB_CHECK(data.size() <= params_.page_size_bytes);
   size_t keep = data.size();
   bool suppress = false;
@@ -102,21 +117,21 @@ uint64_t Disk::WritePage(uint64_t page_no, const std::vector<uint8_t>& data,
   busy_until_ns_ = done;
   busy_ns_total_ += static_cast<double>(pos + xfer);
   if (!suppress) {
+    StoredPage& slot = store_[page_no];
     if (keep < data.size()) {
       // Torn write: new prefix, old suffix (sector-consistent, so the
       // device CRC matches the stored hybrid; only content-level
-      // checksums can tell).
-      std::vector<uint8_t> stored(data.begin(),
-                                  data.begin() + static_cast<long>(keep));
-      auto it = store_.find(page_no);
-      if (it != store_.end() && it->second.size() > keep) {
-        stored.insert(stored.end(),
-                      it->second.begin() + static_cast<long>(keep),
-                      it->second.end());
+      // checksums can tell). The hybrid is this disk's private buffer.
+      std::vector<uint8_t> torn(data.begin(),
+                                data.begin() + static_cast<long>(keep));
+      if (slot.bytes != nullptr && slot.bytes->size() > keep) {
+        torn.insert(torn.end(), slot.bytes->begin() + static_cast<long>(keep),
+                    slot.bytes->end());
       }
-      StorePage(page_no, stored);
+      slot.crc = Crc32(torn.data(), torn.size());
+      slot.bytes = MakePage(std::move(torn));
     } else {
-      StorePage(page_no, data);
+      slot = page;
     }
   }
   ++pages_written_;
@@ -127,8 +142,8 @@ uint64_t Disk::WritePage(uint64_t page_no, const std::vector<uint8_t>& data,
 }
 
 uint64_t Disk::WriteTrack(uint64_t first_page_no,
-                          const std::vector<std::vector<uint8_t>>& pages,
-                          uint64_t now_ns, SeekClass seek) {
+                          const std::vector<PageRef>& pages, uint64_t now_ns,
+                          SeekClass seek) {
   auto keep_pages = static_cast<uint32_t>(pages.size());
   bool suppress = false;
   if (fault_ != nullptr && fault_->armed()) {
@@ -152,12 +167,14 @@ uint64_t Disk::WriteTrack(uint64_t first_page_no,
   busy_ns_total_ += static_cast<double>(pos + xfer);
   uint64_t track_bytes = 0;
   for (size_t i = 0; i < pages.size(); ++i) {
-    MMDB_CHECK(pages[i].size() <= params_.page_size_bytes);
+    const std::vector<uint8_t>& data = *pages[i];
+    MMDB_CHECK(data.size() <= params_.page_size_bytes);
     if (!suppress && i < keep_pages) {
-      StorePage(first_page_no + i, pages[i]);
+      store_[first_page_no + i] =
+          StoredPage{pages[i], Crc32(data.data(), data.size())};
     }
-    bytes_written_ += pages[i].size();
-    track_bytes += pages[i].size();
+    bytes_written_ += data.size();
+    track_bytes += data.size();
   }
   pages_written_ += pages.size();
   ++tracks_written_;
@@ -167,28 +184,26 @@ uint64_t Disk::WriteTrack(uint64_t first_page_no,
 }
 
 Status Disk::ReadPage(uint64_t page_no, uint64_t now_ns, SeekClass seek,
-                      std::vector<uint8_t>* data, uint64_t* done_ns) {
+                      PageRef* data, uint64_t* done_ns) {
   if (failed_) {
     return Status::IOError("media failure on disk " + name_);
   }
-  auto it = store_.find(page_no);
-  if (it == store_.end()) {
-    return Status::NotFound("disk " + name_ + ": page " +
-                            std::to_string(page_no) + " never written");
-  }
-  MMDB_RETURN_IF_ERROR(CheckReadPage(page_no, &it->second, now_ns));
+  auto found = Find(page_no);
+  if (!found.ok()) return found.status();
+  StoredPage* page = found.value();
+  MMDB_RETURN_IF_ERROR(CheckReadPage(page_no, page, now_ns));
   uint64_t start = BeginOp(now_ns);
   uint64_t pos = PositioningNs(seek);
   auto xfer = static_cast<uint64_t>(params_.page_transfer_ms * kMsToNs);
   uint64_t done = start + pos + xfer;
   busy_until_ns_ = done;
   busy_ns_total_ += static_cast<double>(pos + xfer);
-  *data = it->second;
+  *data = page->bytes;
   *done_ns = done;
   ++pages_read_;
   if (seek != SeekClass::kSequential) ++seeks_;
-  bytes_read_ += it->second.size();
-  NoteRead(1, it->second.size(), now_ns, done);
+  bytes_read_ += page->bytes->size();
+  NoteRead(1, page->bytes->size(), now_ns, done);
   return Status::OK();
 }
 
@@ -202,17 +217,13 @@ Status Disk::ReadTrack(uint64_t first_page_no, uint32_t pages, uint64_t now_ns,
   data->clear();
   uint64_t track_bytes = 0;
   for (uint32_t i = 0; i < pages; ++i) {
-    auto it = store_.find(first_page_no + i);
-    if (it == store_.end()) {
-      return Status::NotFound("disk " + name_ + ": page " +
-                              std::to_string(first_page_no + i) +
-                              " never written");
-    }
-    MMDB_RETURN_IF_ERROR(CheckReadPage(first_page_no + i, &it->second,
-                                       now_ns));
-    data->push_back(it->second);
-    bytes_read_ += it->second.size();
-    track_bytes += it->second.size();
+    auto found = Find(first_page_no + i);
+    if (!found.ok()) return found.status();
+    StoredPage* page = found.value();
+    MMDB_RETURN_IF_ERROR(CheckReadPage(first_page_no + i, page, now_ns));
+    data->push_back(*page->bytes);
+    bytes_read_ += page->bytes->size();
+    track_bytes += page->bytes->size();
   }
   uint64_t start = BeginOp(now_ns);
   uint64_t pos = PositioningNs(seek);
@@ -240,21 +251,18 @@ Status Disk::ReadTrackInto(uint64_t first_page_no, uint32_t pages,
   out->reserve(restore_size +
                static_cast<size_t>(pages) * params_.page_size_bytes);
   for (uint32_t i = 0; i < pages; ++i) {
-    auto it = store_.find(first_page_no + i);
-    if (it == store_.end()) {
-      out->resize(restore_size);
-      return Status::NotFound("disk " + name_ + ": page " +
-                              std::to_string(first_page_no + i) +
-                              " never written");
-    }
-    Status st = CheckReadPage(first_page_no + i, &it->second, now_ns);
+    auto found = Find(first_page_no + i);
+    Status st = found.ok() ? CheckReadPage(first_page_no + i, found.value(),
+                                           now_ns)
+                           : found.status();
     if (!st.ok()) {
       out->resize(restore_size);
       return st;
     }
-    out->insert(out->end(), it->second.begin(), it->second.end());
-    bytes_read_ += it->second.size();
-    track_bytes += it->second.size();
+    const std::vector<uint8_t>& bytes = *found.value()->bytes;
+    out->insert(out->end(), bytes.begin(), bytes.end());
+    bytes_read_ += bytes.size();
+    track_bytes += bytes.size();
   }
   uint64_t start = BeginOp(now_ns);
   uint64_t pos = PositioningNs(seek);
@@ -271,10 +279,18 @@ Status Disk::ReadTrackInto(uint64_t first_page_no, uint32_t pages,
   return Status::OK();
 }
 
+uint64_t DuplexedDisk::WritePage(uint64_t page_no, PageRef data,
+                                 uint64_t now_ns, SeekClass seek) {
+  uint32_t crc = Crc32(data->data(), data->size());
+  const Disk::StoredPage page{std::move(data), crc};
+  uint64_t a = primary_.WriteStored(page_no, page, now_ns, seek);
+  uint64_t b = mirror_.WriteStored(page_no, page, now_ns, seek);
+  return a > b ? a : b;
+}
+
 Status DuplexedDisk::ReadWithFallback(Disk* first, Disk* second,
                                       uint64_t page_no, uint64_t now_ns,
-                                      SeekClass seek,
-                                      std::vector<uint8_t>* data,
+                                      SeekClass seek, PageRef* data,
                                       uint64_t* done_ns) {
   Status st1 = first->ReadPage(page_no, now_ns, seek, data, done_ns);
   if (st1.ok() || st1.IsFault()) return st1;

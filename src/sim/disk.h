@@ -2,6 +2,7 @@
 #define MMDB_SIM_DISK_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -45,6 +46,19 @@ struct DiskParams {
 inline constexpr uint32_t kReadRetryAttempts = 3;
 inline constexpr uint64_t kReadRetryBackoffNs = 500'000;  // 0.5 ms
 
+/// The bytes of one stored page, immutable and shared. A writer builds a
+/// page once and hands the same ref to every device that keeps it — both
+/// members of a duplexed pair, the archive, a checkpoint image's disk
+/// slot — so a page costs one buffer however many copies the simulated
+/// hardware holds. Nothing writes through a ref: a fault that changes a
+/// device's stored bytes (latent corruption, a torn write) first gives
+/// that device a private copy, so the other holders never see it.
+using PageRef = std::shared_ptr<const std::vector<uint8_t>>;
+
+inline PageRef MakePage(std::vector<uint8_t> bytes) {
+  return std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+}
+
 /// Kinds of positioning cost for an access.
 enum class SeekClass {
   kSequential,  // head already positioned (e.g. circular-queue head)
@@ -66,6 +80,11 @@ enum class SeekClass {
 /// corruption surfaces. Torn writes stay CRC-consistent at the device
 /// level (each sector is internally whole) and are only detectable by
 /// content-level checks such as the log-page payload CRC.
+///
+/// Pages are stored as shared immutable `PageRef`s (one map entry of
+/// bytes + device CRC per page). The `disk.read` fault hook and torn
+/// writes, the only paths that change stored bytes, work on a private
+/// copy that then replaces this disk's ref alone.
 ///
 /// Timing model: the disk serializes requests on its own `busy_until`
 /// timeline. A request submitted at time `t` starts at max(t, busy_until)
@@ -92,20 +111,20 @@ class Disk {
   /// sites; pass null (the default state) to leave them as no-ops.
   void SetFaultInjector(fault::FaultInjector* inj) { fault_ = inj; }
 
-  /// Submit a one-page write. Returns the completion time (ns).
-  uint64_t WritePage(uint64_t page_no, const std::vector<uint8_t>& data,
-                     uint64_t now_ns, SeekClass seek);
+  /// Submit a one-page write; the disk keeps `data` itself, not a copy.
+  /// Returns the completion time (ns).
+  uint64_t WritePage(uint64_t page_no, PageRef data, uint64_t now_ns,
+                     SeekClass seek);
 
   /// Submit a whole-track write (`pages` consecutive pages starting at
   /// `first_page_no`) at the track transfer rate.
-  uint64_t WriteTrack(uint64_t first_page_no,
-                      const std::vector<std::vector<uint8_t>>& pages,
+  uint64_t WriteTrack(uint64_t first_page_no, const std::vector<PageRef>& pages,
                       uint64_t now_ns, SeekClass seek);
 
-  /// Read one page. On success fills `*data` and returns the completion
-  /// time via `*done_ns`.
+  /// Read one page. On success sets `*data` to the stored bytes (shared,
+  /// not copied) and returns the completion time via `*done_ns`.
   Status ReadPage(uint64_t page_no, uint64_t now_ns, SeekClass seek,
-                  std::vector<uint8_t>* data, uint64_t* done_ns);
+                  PageRef* data, uint64_t* done_ns);
 
   /// Read `pages` consecutive pages at the track rate.
   Status ReadTrack(uint64_t first_page_no, uint32_t pages, uint64_t now_ns,
@@ -135,7 +154,6 @@ class Disk {
   void FailMedia() {
     failed_ = true;
     store_.clear();
-    crc_.clear();
   }
   void RepairMedia() { failed_ = false; }
   bool media_failed() const { return failed_; }
@@ -156,11 +174,24 @@ class Disk {
   uint64_t BeginOp(uint64_t now_ns) {
     return now_ns > busy_until_ns_ ? now_ns : busy_until_ns_;
   }
-  void StorePage(uint64_t page_no, const std::vector<uint8_t>& data);
+
+  /// One stored page: its bytes and the device CRC computed at write time.
+  struct StoredPage {
+    PageRef bytes;
+    uint32_t crc = 0;
+  };
+
+  /// Write path shared by WritePage and DuplexedDisk, which computes the
+  /// device CRC once for both members.
+  uint64_t WriteStored(uint64_t page_no, const StoredPage& page,
+                       uint64_t now_ns, SeekClass seek);
   /// Fires the disk.read hook and verifies the device CRC for one stored
-  /// page. Returns non-OK on injected errors or CRC mismatch.
-  Status CheckReadPage(uint64_t page_no, std::vector<uint8_t>* stored,
-                       uint64_t now_ns);
+  /// page. Returns non-OK on injected errors or CRC mismatch. The hook
+  /// sees a private copy of the bytes; if it changed them (latent
+  /// corruption), the copy replaces this disk's ref and keeps the old CRC.
+  Status CheckReadPage(uint64_t page_no, StoredPage* stored, uint64_t now_ns);
+  /// The stored page, or NotFound.
+  Result<StoredPage*> Find(uint64_t page_no);
   void NoteWrite(uint64_t pages, uint64_t bytes, uint64_t now_ns,
                  uint64_t done_ns) {
     if (m_pages_written_ == nullptr) return;
@@ -178,8 +209,7 @@ class Disk {
 
   std::string name_;
   DiskParams params_;
-  std::unordered_map<uint64_t, std::vector<uint8_t>> store_;
-  std::unordered_map<uint64_t, uint32_t> crc_;
+  std::unordered_map<uint64_t, StoredPage> store_;
   bool failed_ = false;
   fault::FaultInjector* fault_ = nullptr;
 
@@ -199,14 +229,17 @@ class Disk {
   obs::Counter* m_bytes_read_ = nullptr;
   obs::Histogram* m_write_ns_ = nullptr;
   obs::Histogram* m_read_ns_ = nullptr;
+
+  friend class DuplexedDisk;
 };
 
 /// A duplexed pair of disks (the paper's log disks are duplexed).
 ///
-/// Writes go to both members; the logical completion time is the later of
-/// the two. Reads try one member and fall back to the other on any
-/// per-page failure (corrupt CRC, media failure, transient error), not
-/// just whole-media loss; the duplex surfaces an error only when both
+/// Writes go to both members, which share one page buffer and one
+/// device CRC; the logical completion time is the later of the two.
+/// Reads try one member and fall back to the other on any per-page
+/// failure (corrupt CRC, media failure, transient error), not just
+/// whole-media loss; the duplex surfaces an error only when both
 /// copies fail, preferring the more diagnostic status (Corruption over
 /// IOError over NotFound).
 class DuplexedDisk {
@@ -227,17 +260,14 @@ class DuplexedDisk {
     mirror_.SetFaultInjector(inj);
   }
 
-  uint64_t WritePage(uint64_t page_no, const std::vector<uint8_t>& data,
-                     uint64_t now_ns, SeekClass seek) {
-    uint64_t a = primary_.WritePage(page_no, data, now_ns, seek);
-    uint64_t b = mirror_.WritePage(page_no, data, now_ns, seek);
-    return a > b ? a : b;
-  }
+  /// Stores `data` on both members: one buffer, one device CRC.
+  uint64_t WritePage(uint64_t page_no, PageRef data, uint64_t now_ns,
+                     SeekClass seek);
 
   /// Read preferring the primary, transparently retrying the mirror on a
   /// per-page failure.
   Status ReadPage(uint64_t page_no, uint64_t now_ns, SeekClass seek,
-                  std::vector<uint8_t>* data, uint64_t* done_ns) {
+                  PageRef* data, uint64_t* done_ns) {
     return ReadWithFallback(&primary_, &mirror_, page_no, now_ns, seek, data,
                             done_ns);
   }
@@ -247,7 +277,7 @@ class DuplexedDisk {
   /// pair), falling back to the other member on per-page failure. Ties go
   /// to the primary, so the choice is deterministic.
   Status ReadPageAny(uint64_t page_no, uint64_t now_ns, SeekClass seek,
-                     std::vector<uint8_t>* data, uint64_t* done_ns) {
+                     PageRef* data, uint64_t* done_ns) {
     Disk* first = &primary_;
     Disk* second = &mirror_;
     if (primary_.media_failed() ||
@@ -274,8 +304,8 @@ class DuplexedDisk {
 
  private:
   Status ReadWithFallback(Disk* first, Disk* second, uint64_t page_no,
-                          uint64_t now_ns, SeekClass seek,
-                          std::vector<uint8_t>* data, uint64_t* done_ns);
+                          uint64_t now_ns, SeekClass seek, PageRef* data,
+                          uint64_t* done_ns);
 
   std::string name_;
   Disk primary_;

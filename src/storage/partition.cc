@@ -141,12 +141,15 @@ uint32_t Partition::AllocHeap(uint32_t n) {
 
 Result<uint32_t> Partition::Insert(std::span<const uint8_t> data) {
   Header* h = header();
-  // Reuse a free directory entry if one exists.
+  // Reuse the lowest free directory entry if one exists. A dense
+  // directory (every entry live) has none, so appends skip the scan.
   uint32_t slot = h->slot_count;
-  for (uint32_t s = 0; s < h->slot_count; ++s) {
-    if (slot_entry(s)[0] == kFreeSlot) {
-      slot = s;
-      break;
+  if (h->live_count < h->slot_count) {
+    for (uint32_t s = 0; s < h->slot_count; ++s) {
+      if (slot_entry(s)[0] == kFreeSlot) {
+        slot = s;
+        break;
+      }
     }
   }
   Status st = InsertAt(slot, data);

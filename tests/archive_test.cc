@@ -14,11 +14,21 @@ std::vector<std::vector<uint8_t>> Track(uint8_t seed) {
   return pages;
 }
 
+std::vector<sim::PageRef> TrackRefs(uint8_t seed) {
+  std::vector<sim::PageRef> refs;
+  for (auto& page : Track(seed)) refs.push_back(sim::MakePage(page));
+  return refs;
+}
+
+sim::PageRef LogPage(uint8_t seed) {
+  return sim::MakePage(testing::FilledBytes(64, seed));
+}
+
 TEST(ArchiveManagerTest, KeepsLatestImagePerPartition) {
   ArchiveManager am;
-  am.ArchiveCheckpointImage({1, 0}, 0, Track(1));
-  am.ArchiveCheckpointImage({1, 0}, 60, Track(2));
-  am.ArchiveCheckpointImage({2, 0}, 12, Track(3));
+  am.ArchiveCheckpointImage({1, 0}, 0, TrackRefs(1));
+  am.ArchiveCheckpointImage({1, 0}, 60, TrackRefs(2));
+  am.ArchiveCheckpointImage({2, 0}, 12, TrackRefs(3));
   EXPECT_EQ(am.archived_images(), 3u);
 
   sim::Disk disk("ckpt", sim::DiskParams{.page_size_bytes = 1024});
@@ -35,7 +45,7 @@ TEST(ArchiveManagerTest, KeepsLatestImagePerPartition) {
 
 TEST(ArchiveManagerTest, RefusesRestoreOntoFailedMedia) {
   ArchiveManager am;
-  am.ArchiveCheckpointImage({1, 0}, 0, Track(1));
+  am.ArchiveCheckpointImage({1, 0}, 0, TrackRefs(1));
   sim::Disk disk("ckpt", sim::DiskParams{});
   disk.FailMedia();
   uint64_t done;
@@ -49,16 +59,16 @@ TEST(ArchiveManagerTest, RollLogIsIdempotentAndSparseTolerant) {
   ArchiveManager am;
   sim::DuplexedDisk logs("log", sim::DiskParams{.page_size_bytes = 1024});
   // Write pages 0,1,3 (2 intentionally missing: sparse LSN space).
-  logs.WritePage(0, testing::FilledBytes(64, 1), 0, sim::SeekClass::kNear);
-  logs.WritePage(1, testing::FilledBytes(64, 2), 0, sim::SeekClass::kNear);
-  logs.WritePage(3, testing::FilledBytes(64, 3), 0, sim::SeekClass::kNear);
+  logs.WritePage(0, LogPage(1), 0, sim::SeekClass::kNear);
+  logs.WritePage(1, LogPage(2), 0, sim::SeekClass::kNear);
+  logs.WritePage(3, LogPage(3), 0, sim::SeekClass::kNear);
   ASSERT_OK(am.RollLog(&logs, 4));
   EXPECT_EQ(am.archived_log_pages(), 3u);
   // Second roll over the same range does nothing.
   ASSERT_OK(am.RollLog(&logs, 4));
   EXPECT_EQ(am.archived_log_pages(), 3u);
   // Extending the range picks up only new pages.
-  logs.WritePage(5, testing::FilledBytes(64, 4), 0, sim::SeekClass::kNear);
+  logs.WritePage(5, LogPage(4), 0, sim::SeekClass::kNear);
   ASSERT_OK(am.RollLog(&logs, 6));
   EXPECT_EQ(am.archived_log_pages(), 4u);
 }

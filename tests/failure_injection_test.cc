@@ -62,14 +62,16 @@ TEST_F(FailureInjectionTest, CorruptLogPageOnBothMirrorsDetectedAtRestart) {
   // Find a real bin page (skip WAL namespace) and flip a payload bit on
   // both mirrors.
   uint64_t victim = 0;
-  std::vector<uint8_t> raw;
+  sim::PageRef stored;
   uint64_t done;
   ASSERT_OK(db_.log_disks().primary().ReadPage(victim, 0,
-                                               sim::SeekClass::kNear, &raw,
+                                               sim::SeekClass::kNear, &stored,
                                                &done));
+  std::vector<uint8_t> raw = *stored;
   raw.back() ^= 0x01;
-  db_.log_disks().primary().WritePage(victim, raw, 0, sim::SeekClass::kNear);
-  db_.log_disks().mirror().WritePage(victim, raw, 0, sim::SeekClass::kNear);
+  sim::PageRef bad = sim::MakePage(std::move(raw));
+  db_.log_disks().primary().WritePage(victim, bad, 0, sim::SeekClass::kNear);
+  db_.log_disks().mirror().WritePage(victim, bad, 0, sim::SeekClass::kNear);
 
   db_.Crash();
   Status st = db_.Restart();

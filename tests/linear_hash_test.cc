@@ -119,6 +119,50 @@ TEST_F(LinearHashTest, NegativeKeys) {
   ASSERT_OK(h.CheckInvariants(store_));
 }
 
+// Regression: with 4 KB partitions the metadata entity shares a crowded
+// partition with hash nodes. Insert checked that the grown directory fits
+// there, then SplitOne allocated the new chain nodes in the same
+// partition, and the directory write failed with `Full: partition cannot
+// fit entity`. Now the split is skipped when the directory write finds
+// no room, as Insert does when its own check fails.
+TEST(LinearHashSplitTest, SplitSurvivesCrowdedMetadataPartition) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    for (uint16_t cap : {2, 4}) {
+      PlainEntityStore store(4 * 1024);
+      SegmentId seg = store.NewSegment();
+      ASSERT_OK_AND_ASSIGN(LinearHash h,
+                           LinearHash::Create(store, seg, 4, cap, 1));
+      Random rng(seed);
+      std::multimap<int64_t, EntityAddr> model;
+      uint32_t next_addr = 0;
+      for (int step = 0; step < 1500; ++step) {
+        Status st;
+        if (model.empty() || rng.Bernoulli(0.6)) {
+          int64_t key = rng.UniformRange(-100000, 100000);
+          EntityAddr a = Addr(next_addr++);
+          st = h.Insert(store, key, a);
+          model.emplace(key, a);
+        } else {
+          auto it = model.begin();
+          std::advance(it, rng.Uniform(model.size()));
+          st = h.Remove(store, it->first, it->second);
+          model.erase(it);
+        }
+        ASSERT_TRUE(st.ok()) << "seed " << seed << " cap " << cap << " step "
+                             << step << ": " << st.ToString();
+      }
+      ASSERT_OK(h.CheckInvariants(store));
+      ASSERT_OK_AND_ASSIGN(size_t n, h.Size(store));
+      ASSERT_EQ(n, model.size());
+      for (const auto& [key, addr] : model) {
+        ASSERT_OK_AND_ASSIGN(auto vals, h.Lookup(store, key));
+        ASSERT_NE(std::find(vals.begin(), vals.end(), addr), vals.end())
+            << "seed " << seed << " key " << key;
+      }
+    }
+  }
+}
+
 struct HashPropertyParam {
   uint64_t seed;
   uint32_t buckets;

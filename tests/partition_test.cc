@@ -76,6 +76,55 @@ TEST(PartitionTest, UpdateInPlaceAndRelocating) {
   EXPECT_EQ(b[0], testing::FilledBytes(200, 3)[0]);
 }
 
+TEST(PartitionTest, DenseAppendTakesSlotsInOrder) {
+  Partition p({1, 0}, 48 * 1024, 0);
+  for (uint32_t i = 0; i < 200; ++i) {
+    ASSERT_OK_AND_ASSIGN(uint32_t s,
+                         p.Insert(testing::FilledBytes(24, uint8_t(i))));
+    EXPECT_EQ(s, i);
+  }
+  EXPECT_EQ(p.slot_count(), 200u);
+  EXPECT_EQ(p.live_count(), 200u);
+}
+
+TEST(PartitionTest, MiddleDeleteIsRefilledAtLowestHole) {
+  Partition p({1, 0}, 48 * 1024, 0);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_OK(p.Insert(testing::Bytes({i})).status());
+  }
+  ASSERT_OK(p.Delete(6));
+  ASSERT_OK(p.Delete(3));
+  EXPECT_EQ(p.slot_count(), 10u);
+  EXPECT_EQ(p.live_count(), 8u);
+  ASSERT_OK_AND_ASSIGN(uint32_t a, p.Insert(testing::Bytes({20})));
+  ASSERT_OK_AND_ASSIGN(uint32_t b, p.Insert(testing::Bytes({21})));
+  ASSERT_OK_AND_ASSIGN(uint32_t c, p.Insert(testing::Bytes({22})));
+  EXPECT_EQ(a, 3u);
+  EXPECT_EQ(b, 6u);
+  EXPECT_EQ(c, 10u);  // no hole left: append
+  EXPECT_EQ(p.live_count(), p.slot_count());
+}
+
+TEST(PartitionTest, RelocatingUpdateKeepsLiveCount) {
+  Partition p({1, 0}, 4 * 1024, 0);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_OK(p.Insert(testing::FilledBytes(16, uint8_t(i))).status());
+  }
+  // A growing update relocates the entity inside the heap.
+  ASSERT_OK(p.Update(1, testing::FilledBytes(64, 9)));
+  EXPECT_EQ(p.live_count(), 3u);
+  EXPECT_EQ(p.slot_count(), 3u);
+  // One that cannot fit rolls back, still counting the entity once.
+  EXPECT_TRUE(p.Update(1, testing::FilledBytes(8 * 1024, 9)).IsFull());
+  EXPECT_EQ(p.live_count(), 3u);
+  ASSERT_OK_AND_ASSIGN(auto kept, p.Read(1));
+  EXPECT_EQ(std::vector<uint8_t>(kept.begin(), kept.end()),
+            testing::FilledBytes(64, 9));
+  // The directory is still dense, so the next insert appends.
+  ASSERT_OK_AND_ASSIGN(uint32_t s, p.Insert(testing::Bytes({7})));
+  EXPECT_EQ(s, 3u);
+}
+
 TEST(PartitionTest, OperationsOnUnusedSlotsFail) {
   Partition p({1, 0}, 48 * 1024, 0);
   EXPECT_TRUE(p.Read(0).status().IsNotFound());

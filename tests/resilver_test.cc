@@ -40,12 +40,12 @@ void ExpectMembersEqual(sim::Disk& a, sim::Disk& b) {
   std::vector<uint64_t> pages_a = a.StoredPageNumbers();
   ASSERT_EQ(pages_a, b.StoredPageNumbers());
   for (uint64_t page_no : pages_a) {
-    std::vector<uint8_t> da, db_bytes;
+    sim::PageRef da, db_bytes;
     uint64_t done = 0;
     ASSERT_OK(a.ReadPage(page_no, 0, sim::SeekClass::kSequential, &da, &done));
     ASSERT_OK(
         b.ReadPage(page_no, 0, sim::SeekClass::kSequential, &db_bytes, &done));
-    EXPECT_EQ(da, db_bytes) << "page " << page_no;
+    EXPECT_EQ(*da, *db_bytes) << "page " << page_no;
     EXPECT_TRUE(b.PageClean(page_no));
   }
 }
@@ -208,6 +208,72 @@ TEST(ResilverTest, FallsBackToArchiveWhenMirrorCannotServePage) {
             sim::kReadRetryAttempts);
   db.DisarmFaults();
   ExpectMembersEqual(db.log_disks().primary(), db.log_disks().mirror());
+}
+
+TEST(ResilverTest, RestoresCorruptSourcePageFromArchiveCopy) {
+  DatabaseOptions o = SmallOptions();
+  o.log_window_pages = 4;
+  o.grace_pages = 0;
+  Database db(o);
+  ASSERT_OK(db.CreateRelation("r", S()));
+  ASSERT_OK(Fill(&db, "r", 0, 400));
+  ASSERT_OK(db.CheckpointEverything());
+  ASSERT_GT(db.archive().archived_log_pages(), 0u);
+  const auto& [archived_page, archived_ref] =
+      *db.archive().log_page_archive().begin();
+  const std::vector<uint8_t> archived_bytes = *archived_ref;
+
+  // Latent corruption on the healthy primary's copy of an archived page:
+  // its device CRC check fails, so the re-silverer restores that page from
+  // the archive. The flipped bits stay on the primary's private copy.
+  db.log_disks().mirror().FailMedia();
+  db.log_disks().mirror().RepairMedia();
+  db.ArmFaultPlan(fault::FaultPlan().LatentCorruption("log-a", archived_page));
+  ASSERT_OK(db.StartLogDiskResilver(1));
+  ASSERT_OK(db.ResilverToCompletion());
+  db.DisarmFaults();
+
+  EXPECT_FALSE(db.log_disks().primary().PageClean(archived_page));
+  EXPECT_TRUE(db.log_disks().mirror().PageClean(archived_page));
+  EXPECT_EQ(*db.archive().log_page_archive().at(archived_page),
+            archived_bytes);
+  sim::PageRef rebuilt;
+  uint64_t done = 0;
+  ASSERT_OK(db.log_disks().mirror().ReadPage(
+      archived_page, 0, sim::SeekClass::kSequential, &rebuilt, &done));
+  EXPECT_EQ(*rebuilt, archived_bytes);
+}
+
+TEST(ResilverTest, MirrorAndArchiveServeAfterPrimaryMediaFailure) {
+  DatabaseOptions o = SmallOptions();
+  o.log_window_pages = 4;
+  o.grace_pages = 0;
+  Database db(o);
+  ASSERT_OK(db.CreateRelation("r", S()));
+  ASSERT_OK(Fill(&db, "r", 0, 400));
+  ASSERT_OK(db.CheckpointEverything());
+  ASSERT_GT(db.archive().archived_log_pages(), 0u);
+
+  db.log_disks().primary().FailMedia();
+  for (const auto& [lsn, ref] : db.archive().log_page_archive()) {
+    sim::PageRef bytes;
+    uint64_t done = 0;
+    ASSERT_OK(db.log_disks().mirror().ReadPage(
+        lsn, 0, sim::SeekClass::kSequential, &bytes, &done));
+    EXPECT_EQ(*bytes, *ref) << "page " << lsn;
+  }
+  // Recovery reads the log from the surviving mirror.
+  db.Crash();
+  ASSERT_OK(db.Restart());
+  auto txn = db.Begin();
+  ASSERT_OK(txn.status());
+  ASSERT_OK_AND_ASSIGN(auto rows, db.Scan(txn.value(), "r"));
+  EXPECT_EQ(rows.size(), 400u);
+  ASSERT_OK(db.Commit(txn.value()));
+  db.log_disks().primary().RepairMedia();
+  ASSERT_OK(db.StartLogDiskResilver(0));
+  ASSERT_OK(db.ResilverToCompletion());
+  ExpectMembersEqual(db.log_disks().mirror(), db.log_disks().primary());
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "fault/fault.h"
+#include "recovery/archive.h"
 #include "sim/clock.h"
 #include "sim/cpu.h"
 #include "sim/disk.h"
@@ -56,18 +59,18 @@ TEST(CpuModelTest, IdleUntilMovesForwardOnly) {
 TEST(DiskTest, WriteThenReadRoundTrips) {
   Disk d("d", DiskParams{});
   auto data = testing::FilledBytes(4096, 3);
-  uint64_t done = d.WritePage(7, data, 0, SeekClass::kRandom);
+  uint64_t done = d.WritePage(7, MakePage(data), 0, SeekClass::kRandom);
   EXPECT_GT(done, 0u);
-  std::vector<uint8_t> out;
+  PageRef out;
   uint64_t rdone = 0;
   ASSERT_OK(d.ReadPage(7, done, SeekClass::kRandom, &out, &rdone));
-  EXPECT_EQ(out, data);
+  EXPECT_EQ(*out, data);
   EXPECT_GT(rdone, done);
 }
 
 TEST(DiskTest, ReadOfUnwrittenPageFails) {
   Disk d("d", DiskParams{});
-  std::vector<uint8_t> out;
+  PageRef out;
   uint64_t done;
   EXPECT_TRUE(d.ReadPage(99, 0, SeekClass::kRandom, &out, &done).IsNotFound());
 }
@@ -75,7 +78,7 @@ TEST(DiskTest, ReadOfUnwrittenPageFails) {
 TEST(DiskTest, SequentialWritesAreCheaperThanRandom) {
   DiskParams p;
   Disk seq("s", p), rnd("r", p);
-  auto data = testing::FilledBytes(1024, 1);
+  PageRef data = MakePage(testing::FilledBytes(1024, 1));
   uint64_t t_seq = 0, t_rnd = 0;
   for (int i = 0; i < 10; ++i) {
     t_seq = seq.WritePage(i, data, t_seq, SeekClass::kSequential);
@@ -89,7 +92,7 @@ TEST(DiskTest, SequentialWritesAreCheaperThanRandom) {
 TEST(DiskTest, TrackWriteFasterThanPagewise) {
   DiskParams p;
   Disk track("t", p), pages("p", p);
-  std::vector<std::vector<uint8_t>> six(6, testing::FilledBytes(8192, 2));
+  std::vector<PageRef> six(6, MakePage(testing::FilledBytes(8192, 2)));
   uint64_t t_track = track.WriteTrack(0, six, 0, SeekClass::kRandom);
   uint64_t t_pages = 0;
   for (int i = 0; i < 6; ++i) {
@@ -102,7 +105,7 @@ TEST(DiskTest, TrackWriteFasterThanPagewise) {
 
 TEST(DiskTest, RequestsSerializeOnBusyTimeline) {
   Disk d("d", DiskParams{});
-  auto data = testing::FilledBytes(64, 9);
+  PageRef data = MakePage(testing::FilledBytes(64, 9));
   uint64_t first = d.WritePage(0, data, 0, SeekClass::kRandom);
   // Submitting "in the past" still queues behind the first request.
   uint64_t second = d.WritePage(1, data, 0, SeekClass::kRandom);
@@ -111,23 +114,29 @@ TEST(DiskTest, RequestsSerializeOnBusyTimeline) {
 
 TEST(DiskTest, MediaFailureDropsDataUntilRepaired) {
   Disk d("d", DiskParams{});
-  d.WritePage(1, testing::FilledBytes(16, 1), 0, SeekClass::kRandom);
+  d.WritePage(1, MakePage(testing::FilledBytes(16, 1)), 0,
+              SeekClass::kRandom);
   d.FailMedia();
-  std::vector<uint8_t> out;
+  PageRef out;
   uint64_t done;
   EXPECT_TRUE(d.ReadPage(1, 0, SeekClass::kRandom, &out, &done).IsIOError());
   d.RepairMedia();
   // Data is gone (media failure), but the disk serves again.
   EXPECT_TRUE(d.ReadPage(1, 0, SeekClass::kRandom, &out, &done).IsNotFound());
-  d.WritePage(1, testing::FilledBytes(16, 2), 0, SeekClass::kRandom);
+  d.WritePage(1, MakePage(testing::FilledBytes(16, 2)), 0,
+              SeekClass::kRandom);
   ASSERT_OK(d.ReadPage(1, 0, SeekClass::kRandom, &out, &done));
 }
 
 TEST(DiskTest, ReadTrackReturnsAllPages) {
   Disk d("d", DiskParams{});
   std::vector<std::vector<uint8_t>> pages;
-  for (int i = 0; i < 6; ++i) pages.push_back(testing::FilledBytes(128, i));
-  d.WriteTrack(10, pages, 0, SeekClass::kNear);
+  std::vector<PageRef> refs;
+  for (int i = 0; i < 6; ++i) {
+    pages.push_back(testing::FilledBytes(128, i));
+    refs.push_back(MakePage(pages.back()));
+  }
+  d.WriteTrack(10, refs, 0, SeekClass::kNear);
   std::vector<std::vector<uint8_t>> out;
   uint64_t done;
   ASSERT_OK(d.ReadTrack(10, 6, 0, SeekClass::kNear, &out, &done));
@@ -136,7 +145,7 @@ TEST(DiskTest, ReadTrackReturnsAllPages) {
 
 TEST(DuplexedDiskTest, WritesGoToBothMembers) {
   DuplexedDisk d("log", DiskParams{});
-  auto data = testing::FilledBytes(32, 5);
+  PageRef data = MakePage(testing::FilledBytes(32, 5));
   d.WritePage(3, data, 0, SeekClass::kSequential);
   EXPECT_TRUE(d.primary().Contains(3));
   EXPECT_TRUE(d.mirror().Contains(3));
@@ -145,12 +154,113 @@ TEST(DuplexedDiskTest, WritesGoToBothMembers) {
 TEST(DuplexedDiskTest, MirrorServesAfterPrimaryFailure) {
   DuplexedDisk d("log", DiskParams{});
   auto data = testing::FilledBytes(32, 5);
-  d.WritePage(3, data, 0, SeekClass::kSequential);
+  d.WritePage(3, MakePage(data), 0, SeekClass::kSequential);
   d.primary().FailMedia();
-  std::vector<uint8_t> out;
+  PageRef out;
   uint64_t done;
   ASSERT_OK(d.ReadPage(3, 0, SeekClass::kSequential, &out, &done));
-  EXPECT_EQ(out, data);
+  EXPECT_EQ(*out, data);
+}
+
+TEST(DuplexedDiskTest, MembersAndArchiveShareOnePageBuffer) {
+  DuplexedDisk d("log", DiskParams{});
+  PageRef written = MakePage(testing::FilledBytes(256, 4));
+  d.WritePage(0, written, 0, SeekClass::kSequential);
+  ArchiveManager archive;
+  ASSERT_OK(archive.RollLog(&d, 1));
+  PageRef a, b;
+  uint64_t done;
+  ASSERT_OK(d.primary().ReadPage(0, 0, SeekClass::kSequential, &a, &done));
+  ASSERT_OK(d.mirror().ReadPage(0, 0, SeekClass::kSequential, &b, &done));
+  EXPECT_EQ(a.get(), written.get());
+  EXPECT_EQ(b.get(), written.get());
+  EXPECT_EQ(archive.log_page_archive().at(0).get(), written.get());
+  // The roll is an ordinary duplex read: it advanced the primary's counters.
+  EXPECT_EQ(d.primary().pages_read(), 2u);
+}
+
+TEST(DuplexedDiskTest, ReadCorruptionOnOneMemberLeavesMirrorAndArchiveIntact) {
+  DuplexedDisk d("log", DiskParams{});
+  auto data = testing::FilledBytes(256, 7);
+  d.WritePage(3, MakePage(data), 0, SeekClass::kSequential);
+  ArchiveManager archive;
+  ASSERT_OK(archive.RollLog(&d, 4));
+
+  fault::FaultInjector inj;
+  d.SetFaultInjector(&inj);
+  inj.Arm(fault::FaultPlan().LatentCorruption("log-a", 3));
+  PageRef out;
+  uint64_t done;
+  EXPECT_TRUE(d.primary()
+                  .ReadPage(3, 0, SeekClass::kSequential, &out, &done)
+                  .IsCorruption());
+  inj.Disarm();
+
+  // The flipped bit stays on the primary's private copy: PageClean and
+  // every later read there see it.
+  EXPECT_FALSE(d.primary().PageClean(3));
+  EXPECT_TRUE(d.primary()
+                  .ReadPage(3, 0, SeekClass::kSequential, &out, &done)
+                  .IsCorruption());
+  // The mirror and the archive still hold the bytes as written.
+  EXPECT_TRUE(d.mirror().PageClean(3));
+  ASSERT_OK(d.mirror().ReadPage(3, 0, SeekClass::kSequential, &out, &done));
+  EXPECT_EQ(*out, data);
+  EXPECT_EQ(*archive.log_page_archive().at(3), data);
+  // A duplex read falls back to the mirror.
+  ASSERT_OK(d.ReadPage(3, 0, SeekClass::kSequential, &out, &done));
+  EXPECT_EQ(*out, data);
+  EXPECT_EQ(d.mirror_fallbacks(), 1u);
+}
+
+TEST(DuplexedDiskTest, TornWriteOnOneMemberLeavesTheOtherWhole) {
+  DuplexedDisk d("log", DiskParams{});
+  auto old_bytes = testing::FilledBytes(512, 1);
+  auto new_bytes = testing::FilledBytes(512, 2);
+  d.WritePage(5, MakePage(old_bytes), 0, SeekClass::kSequential);
+
+  fault::FaultInjector inj;
+  d.SetFaultInjector(&inj);
+  inj.Arm(fault::FaultPlan().TornWrite("log-b"));
+  PageRef written = MakePage(new_bytes);
+  d.WritePage(5, written, 0, SeekClass::kSequential);
+  inj.Disarm();
+  EXPECT_EQ(*written, new_bytes);  // the shared buffer was not touched
+
+  PageRef a, torn;
+  uint64_t done;
+  ASSERT_OK(d.primary().ReadPage(5, 0, SeekClass::kSequential, &a, &done));
+  EXPECT_EQ(*a, new_bytes);
+  // The mirror holds new prefix + old suffix, CRC-consistent at the device.
+  ASSERT_OK(d.mirror().ReadPage(5, 0, SeekClass::kSequential, &torn, &done));
+  const std::vector<uint8_t>& b = *torn;
+  ASSERT_EQ(b.size(), new_bytes.size());
+  EXPECT_NE(b, new_bytes);
+  EXPECT_TRUE(d.mirror().PageClean(5));
+  size_t keep = 0;
+  while (keep < b.size() && b[keep] == new_bytes[keep]) ++keep;
+  EXPECT_GT(keep, 0u);
+  EXPECT_TRUE(std::equal(b.begin() + static_cast<long>(keep), b.end(),
+                         old_bytes.begin() + static_cast<long>(keep)));
+}
+
+TEST(DuplexedDiskTest, MirrorAndArchiveServeAfterPrimaryMediaFailure) {
+  DuplexedDisk d("log", DiskParams{});
+  for (uint64_t p = 0; p < 4; ++p) {
+    d.WritePage(p, MakePage(testing::FilledBytes(128, uint8_t(p))), 0,
+                SeekClass::kSequential);
+  }
+  ArchiveManager archive;
+  ASSERT_OK(archive.RollLog(&d, 4));
+  d.primary().FailMedia();
+  for (uint64_t p = 0; p < 4; ++p) {
+    PageRef ref;
+    uint64_t done;
+    ASSERT_OK(d.ReadPage(p, 0, SeekClass::kSequential, &ref, &done));
+    EXPECT_EQ(*ref, testing::FilledBytes(128, uint8_t(p)));
+    EXPECT_EQ(*archive.log_page_archive().at(p), *ref);
+  }
+  EXPECT_EQ(d.mirror_fallbacks(), 4u);
 }
 
 TEST(StableMemoryMeterTest, CapacityEnforcement) {
