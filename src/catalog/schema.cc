@@ -6,25 +6,6 @@ namespace mmdb {
 
 namespace wire {
 
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
-void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutI64(std::vector<uint8_t>* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
 void PutBytes(std::vector<uint8_t>* out, std::span<const uint8_t> v) {
   out->insert(out->end(), v.begin(), v.end());
 }
@@ -116,7 +97,14 @@ Status Schema::Validate(const Tuple& tuple) const {
 
 Result<std::vector<uint8_t>> Schema::Encode(const Tuple& tuple) const {
   MMDB_RETURN_IF_ERROR(Validate(tuple));
+  size_t size = 0;
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    size += columns_[i].type == ColumnType::kInt64
+                ? 8
+                : 4 + std::get<std::string>(tuple[i]).size();
+  }
   std::vector<uint8_t> out;
+  out.reserve(size);
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i].type == ColumnType::kInt64) {
       wire::PutI64(&out, std::get<int64_t>(tuple[i]));

@@ -1,6 +1,7 @@
 #ifndef MMDB_CATALOG_SCHEMA_H_
 #define MMDB_CATALOG_SCHEMA_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -68,13 +69,24 @@ class Schema {
   std::vector<Column> columns_;
 };
 
-/// Append helpers shared by catalog/log serialization code.
+/// Append helpers shared by catalog/log serialization code. Integers are
+/// little-endian; each is appended as one word, not byte by byte.
 namespace wire {
-void PutU8(std::vector<uint8_t>* out, uint8_t v);
-void PutU16(std::vector<uint8_t>* out, uint16_t v);
-void PutU32(std::vector<uint8_t>* out, uint32_t v);
-void PutU64(std::vector<uint8_t>* out, uint64_t v);
-void PutI64(std::vector<uint8_t>* out, int64_t v);
+/// Appends the low `N` bytes of `v`, little-endian.
+template <size_t N>
+inline void PutLE(std::vector<uint8_t>* out, uint64_t v) {
+  size_t at = out->size();
+  out->resize(at + N);
+  uint8_t* p = out->data() + at;
+  for (size_t i = 0; i < N; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+inline void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
+inline void PutU16(std::vector<uint8_t>* out, uint16_t v) { PutLE<2>(out, v); }
+inline void PutU32(std::vector<uint8_t>* out, uint32_t v) { PutLE<4>(out, v); }
+inline void PutU64(std::vector<uint8_t>* out, uint64_t v) { PutLE<8>(out, v); }
+inline void PutI64(std::vector<uint8_t>* out, int64_t v) {
+  PutLE<8>(out, static_cast<uint64_t>(v));
+}
 void PutBytes(std::vector<uint8_t>* out, std::span<const uint8_t> v);
 void PutString(std::vector<uint8_t>* out, const std::string& v);
 

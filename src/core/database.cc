@@ -270,6 +270,7 @@ Status Database::RollbackOperation(Transaction* txn, const OpMark& mark) {
     auto pr = v_->pm.Get(rec.partition);
     if (!pr.ok()) return pr.status();
     MMDB_RETURN_IF_ERROR(ApplyLogRecord(rec, pr.value()));
+    NoteSpaceFreed(pr.value());
     MainWork(opts_.apply_instructions_per_record);
   }
   if (!undo.empty()) {
@@ -289,7 +290,6 @@ Status Database::RollbackOperation(Transaction* txn, const OpMark& mark) {
       }
       if (!still_written) v_->versions.OnUndone({rec.partition, rec.slot});
     }
-    NoteSpaceFreed();
   }
   slb_at(txn->log_stream())->Rewind(txn->id(), mark.slb);
   txn->RestoreRedo(mark.redo);
@@ -395,6 +395,23 @@ Status Database::AppendRedo(Transaction* txn, const LogRecord& redo,
   return Status::OK();
 }
 
+void Database::NoteSpaceFreed(const Partition* p) {
+  auto it = v_->insert_hints.find(p->id().segment);
+  if (it == v_->insert_hints.end()) return;
+  Volatile::InsertHint& hint = it->second;
+  if (hint.epoch != v_->space_epoch || hint.idx == 0) return;
+  // Only a partition inside the proven-full prefix moves the hint: the
+  // prefix then ends at it. The rest of the prefix is unchanged.
+  const auto& parts = v_->pm.SegmentPartitions(p->id().segment);
+  auto end = parts.begin() +
+             static_cast<long>(std::min(hint.idx, parts.size()));
+  auto pos = std::lower_bound(parts.begin(), end, p->id().number,
+                              [](const Partition* q, uint32_t number) {
+                                return q->id().number < number;
+                              });
+  hint.idx = static_cast<size_t>(pos - parts.begin());
+}
+
 Result<EntityAddr> Database::InsertEntity(Transaction* txn, SegmentId segment,
                                           std::span<const uint8_t> data) {
   if (txn == nullptr) return Status::InvalidArgument("mutation needs a txn");
@@ -445,7 +462,7 @@ Result<EntityAddr> Database::InsertEntity(Transaction* txn, SegmentId segment,
   MainWork(opts_.lock_instructions);
   if (!lock.ok()) {
     MMDB_CHECK(target->Delete(slot).ok());
-    NoteSpaceFreed();
+    NoteSpaceFreed(target);
     return lock;
   }
   v_->versions.NoteWrite(addr, /*deleted=*/true, {});
@@ -460,7 +477,7 @@ Result<EntityAddr> Database::InsertEntity(Transaction* txn, SegmentId segment,
   Status st = AppendRedo(txn, redo, MakeUndo(redo, {}));
   if (!st.ok()) {
     MMDB_CHECK(target->Delete(slot).ok());
-    NoteSpaceFreed();
+    NoteSpaceFreed(target);
     return st;
   }
   return addr;
@@ -491,7 +508,7 @@ Status Database::UpdateEntity(Transaction* txn, const EntityAddr& addr,
 
   v_->versions.NoteWrite(addr, /*deleted=*/false, pre);
   MMDB_RETURN_IF_ERROR(p->Update(addr.slot, data));
-  NoteSpaceFreed();
+  NoteSpaceFreed(p);
 
   LogRecord redo;
   redo.op = LogOp::kUpdate;
@@ -529,7 +546,7 @@ Status Database::DeleteEntity(Transaction* txn, const EntityAddr& addr) {
 
   v_->versions.NoteWrite(addr, /*deleted=*/false, pre);
   MMDB_RETURN_IF_ERROR(p->Delete(addr.slot));
-  NoteSpaceFreed();
+  NoteSpaceFreed(p);
 
   LogRecord redo;
   redo.op = LogOp::kDelete;
@@ -608,7 +625,7 @@ Status Database::NodeEntryOp(Transaction* txn, const EntityAddr& addr,
   if (!st.ok()) return st;
   v_->versions.NoteWrite(addr, /*deleted=*/false, pre);
   MMDB_RETURN_IF_ERROR(p->Update(addr.slot, post));
-  NoteSpaceFreed();
+  NoteSpaceFreed(p);
 
   LogRecord redo;
   redo.op = op;
@@ -1424,6 +1441,7 @@ Status Database::Abort(Transaction* txn) {
     if (!st.ok()) {
       return Status::Corruption("UNDO failed: " + st.ToString());
     }
+    NoteSpaceFreed(pr.value());
     MainWork(opts_.apply_instructions_per_record);
   }
   if (!undo.empty()) {
@@ -1432,7 +1450,6 @@ Status Database::Abort(Transaction* txn) {
     for (const LogRecord& rec : undo) {
       v_->versions.OnUndone({rec.partition, rec.slot});
     }
-    NoteSpaceFreed();
   }
   SlbAllocationGate(txn->log_stream());
   MMDB_RETURN_IF_ERROR(slb_at(txn->log_stream())->Discard(id));

@@ -451,6 +451,15 @@ class Database {
   LogDiskWriter& log_writer() { return *log_writer_; }
   sim::Disk& checkpoint_disk() { return *checkpoint_disk_; }
   sim::DuplexedDisk& log_disks() { return *log_disks_; }
+  /// Stream `s`'s duplexed log disks, log writer and sort process
+  /// (stream 0 is log_disks() / log_writer() / recovery_manager()).
+  sim::DuplexedDisk& log_disks_at(uint32_t s) {
+    return s == 0 ? *log_disks_ : *extra_streams_[s - 1]->disks;
+  }
+  LogDiskWriter& log_writer_at(uint32_t s) { return *writer_at(s); }
+  RecoveryManager& recovery_manager_at(uint32_t s) { return *recovery_at(s); }
+  /// Checkpoint-disk slot ownership (volatile; rebuilt at restart).
+  const DiskAllocationMap& disk_allocation_map() const { return v_->disk_map; }
   ArchiveManager& archive() { return *archive_; }
   AuditLog& audit_log() { return *audit_; }
   Catalog& catalog();
@@ -496,9 +505,11 @@ class Database {
     /// First-fit insert accelerator: InsertEntity's scan proved every
     /// partition of the segment before `idx` unable to fit `need` bytes
     /// as of `epoch`, so a later insert of >= `need` bytes may resume
-    /// the scan there. Any operation that can grow a partition's
-    /// free+garbage space (update, delete, undo apply, recovery install,
-    /// drop) bumps `space_epoch`, voiding every hint — placement stays
+    /// the scan there. An operation that can grow one partition's
+    /// free+garbage space (update, delete, undo apply) lowers only that
+    /// partition's segment hint to the partition's index; one that
+    /// shifts indices or has no partition at hand (recovery install,
+    /// drop) bumps `space_epoch`, voiding every hint. Placement stays
     /// byte-identical to the full scan; only proven-full prefixes are
     /// skipped. Without this the scan re-reads every full partition's
     /// header per insert: O(partitions) cache misses per tuple, the
@@ -517,8 +528,12 @@ class Database {
     std::map<std::string, LinearHash> hashes;
   };
 
-  /// A partition may have regained space: void the first-fit hints.
+  /// Partitions may have regained space or moved in their segment's
+  /// index: void the first-fit hints.
   void NoteSpaceFreed() { ++v_->space_epoch; }
+  /// `p` may have regained space: its segment's hint resumes no later
+  /// than `p`.
+  void NoteSpaceFreed(const Partition* p);
 
   // --- logged entity operations (the heart of regular logging, §2.3) ----------
   Result<EntityAddr> InsertEntity(Transaction* txn, SegmentId segment,

@@ -33,6 +33,10 @@ DatabaseOptions CrashExplorer::TrialOptions() const {
   o.enable_tracing = opts_.trace;
   if (opts_.txn_workers > 1) o.txn_workers = opts_.txn_workers;
   if (opts_.log_streams > 1) o.log_streams = opts_.log_streams;
+  if (opts_.log_window_pages > 0) {
+    o.log_window_pages = opts_.log_window_pages;
+    o.grace_pages = opts_.log_window_pages / 4;
+  }
   return o;
 }
 
@@ -613,6 +617,10 @@ Status CrashExplorer::Run(ExplorerReport* report) {
     }
     for (size_t s = 0; s < kSiteCount; ++s) {
       report->probe_visits[s] = db.fault_injector().visits(static_cast<Site>(s));
+    }
+    report->probe_log_pages_rolled = db.archive().archived_log_pages();
+    for (uint32_t s = 0; s < db.log_streams(); ++s) {
+      report->probe_log_pages_released += db.log_writer_at(s).released_below();
     }
     oracle_rows_ = led.committed;
     MMDB_RETURN_IF_ERROR(CollectImages(&db, &oracle_images_));

@@ -48,6 +48,12 @@ struct ExplorerOptions {
   /// recovery sees exactly the recovered committed state, and version
   /// pruning is idempotent when the reclaimer resumes.
   bool mvcc_readers = false;
+  /// Log window of the trial databases, in pages; 0 keeps the database
+  /// default (2^30 pages: the window never moves). A small window makes
+  /// age checkpoints fire on their own and the window roll log pages onto
+  /// the archive, so crashes land around the release of superseded
+  /// checkpoint images and of log pages below the log tail.
+  uint64_t log_window_pages = 0;
 };
 
 struct ExplorerReport {
@@ -59,6 +65,10 @@ struct ExplorerReport {
   std::vector<std::string> failures;
   /// Per-site visit counts observed by the probe run.
   uint64_t probe_visits[kSiteCount] = {};
+  /// Log pages the probe run rolled onto the archive, and log pages it
+  /// released below the log tails (all streams).
+  uint64_t probe_log_pages_rolled = 0;
+  uint64_t probe_log_pages_released = 0;
 };
 
 /// Enumerates crash points across a scripted workload (transactions with

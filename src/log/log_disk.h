@@ -127,6 +127,17 @@ class LogDiskWriter {
   uint64_t next_lsn() const { return next_lsn_; }
   uint64_t pages_written() const { return next_lsn_; }
 
+  /// Drops every page below `lsn` from both duplex members: log space
+  /// behind the log tail is free for reuse (§2.3.3), and no recovery path
+  /// reads it. The released-below mark only moves forward, so each page
+  /// is dropped once.
+  void ReleaseBelow(uint64_t lsn) {
+    if (lsn <= released_below_) return;
+    disks_->Discard(released_below_, lsn - released_below_);
+    released_below_ = lsn;
+  }
+  uint64_t released_below() const { return released_below_; }
+
   /// Oldest LSN still inside the log window.
   uint64_t window_start() const {
     return next_lsn_ > config_.window_pages ? next_lsn_ - config_.window_pages
@@ -165,6 +176,7 @@ class LogDiskWriter {
   Config config_;
   sim::DuplexedDisk* disks_;
   uint64_t next_lsn_ = 0;
+  uint64_t released_below_ = 0;
   fault::FaultInjector* fault_ = nullptr;
 
   // Optional observers (null until attached).

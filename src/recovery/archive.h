@@ -18,13 +18,16 @@ namespace mmdb {
 /// The disk copy of the database (checkpoint images + log) is the archive
 /// for the primary memory copy, but the disks themselves need an archive
 /// (tape or optical disk) against media failure. This manager models the
-/// archive medium as unbounded stable storage:
+/// archive medium as stable storage that keeps what media recovery can
+/// still use:
 ///
-///  * every committed checkpoint image is also archived, and
+///  * every committed checkpoint image is also archived (the latest per
+///    partition), and
 ///  * log pages are rolled onto the archive as the log window advances
 ///    past them ("the recovery component releases control of a log disk
 ///    when that disk is transferred to the archive component to roll the
-///    contents of the disk onto tape").
+///    contents of the disk onto tape"); rolled pages below the log tail
+///    are released again (ReleaseLogBelow).
 ///
 /// `RecoverCheckpointDisk` implements media recovery for the checkpoint
 /// disk: it rewrites every partition's latest archived image back to its
@@ -50,6 +53,18 @@ class ArchiveManager {
   /// for any read) and the verified ref is kept, not copied.
   Status RollLog(sim::DuplexedDisk* log_disks, uint64_t up_to_lsn);
 
+  /// Drops archived log pages below `lsn`, the log tail: no chain that
+  /// recovery can still walk reaches below it. Pages between the tail and
+  /// the rolled-up-to point stay, since lagging chains can still need
+  /// them.
+  void ReleaseLogBelow(uint64_t lsn) {
+    log_pages_.erase(log_pages_.begin(), log_pages_.lower_bound(lsn));
+  }
+
+  /// Every log page below this LSN has been rolled (read off the log
+  /// disks) already.
+  uint64_t rolled_up_to() const { return rolled_up_to_; }
+
   /// Media recovery: restore every archived partition image onto the
   /// (repaired) checkpoint disk at its recorded location.
   Status RecoverCheckpointDisk(sim::Disk* checkpoint_disk, uint64_t now_ns,
@@ -58,9 +73,10 @@ class ArchiveManager {
   uint64_t archived_images() const { return archived_images_; }
   uint64_t archived_log_pages() const { return archived_log_pages_; }
 
-  /// Archived log pages (LSN → raw page bytes). The re-silverer restores
-  /// from here any page the healthy duplex member can no longer serve
-  /// (e.g. a latent-corrupt sector discovered during the copy).
+  /// Archived log pages still at or above the log tail (LSN → raw page
+  /// bytes). The re-silverer restores from here any page the healthy
+  /// duplex member can no longer serve (e.g. a latent-corrupt sector
+  /// discovered during the copy).
   const std::map<uint64_t, sim::PageRef>& log_page_archive() const {
     return log_pages_;
   }

@@ -1,5 +1,6 @@
 #include "recovery/checkpointer.h"
 
+#include <algorithm>
 #include <set>
 
 #include "core/database.h"
@@ -121,7 +122,8 @@ Status Checkpointer::RunOne(CheckpointRequest* req, uint32_t stream) {
   bool had_old = d->has_checkpoint();
 
   // Install the new location in memory; free the old slot (new copies
-  // never overwrite old ones — the old image stays untouched on disk).
+  // never overwrite old ones — the old image stays on disk until the
+  // install has committed, see ReleaseUnreadable).
   d->checkpoint_page = first_page;
   d->checkpoint_slot = slot;
   if (had_old) MMDB_CHECK(db.v_->disk_map.Free(old_slot).ok());
@@ -234,7 +236,33 @@ Status Checkpointer::RunOne(CheckpointRequest* req, uint32_t stream) {
   // Roll retired log extents onto the archive.
   MMDB_RETURN_IF_ERROR(
       db.archive_->RollLog(db.log_disks_.get(), db.log_writer_->window_start()));
+  ReleaseUnreadable(had_old, old_slot);
   return Status::OK();
+}
+
+void Checkpointer::ReleaseUnreadable(bool had_old, uint64_t old_slot) {
+  Database& db = *db_;
+  // The superseded image: the install is committed (non-user commits are
+  // durable in every mode) and the bin reset dropped the log between the
+  // two images, so no restart can start from it. A slot handed out again
+  // since belongs to its new image.
+  const DiskAllocationMap& map = db.v_->disk_map;
+  if (had_old && map.owner(old_slot) == DiskAllocationMap::kFree) {
+    db.checkpoint_disk_->Discard(map.SlotFirstPage(old_slot),
+                                 map.pages_per_slot());
+  }
+  // Log behind each stream's tail. Stream 0 keeps every page the archive
+  // has not rolled yet, so each roll read still happens (and advances the
+  // log disks' timeline) exactly as before; extra streams are never
+  // rolled.
+  for (uint32_t s = 0; s < db.log_streams(); ++s) {
+    uint64_t tail = db.recovery_at(s)->log_tail();
+    if (s == 0) {
+      db.archive_->ReleaseLogBelow(tail);
+      tail = std::min(tail, db.archive_->rolled_up_to());
+    }
+    db.writer_at(s)->ReleaseBelow(tail);
+  }
 }
 
 }  // namespace mmdb

@@ -25,7 +25,9 @@ class Database;
 ///   4. log the disk-allocation-map and catalog-entry updates,
 ///   5. write the partition image (a whole track) and commit,
 ///   6. the new location is installed atomically; the recovery CPU then
-///      flushes the partition's remaining log info and resets its bin.
+///      flushes the partition's remaining log info and resets its bin,
+///   7. the devices release what recovery can no longer read: the
+///      superseded image and the log below the log tail.
 class Checkpointer {
  public:
   explicit Checkpointer(Database* db) : db_(db) {}
@@ -48,6 +50,14 @@ class Checkpointer {
   /// flush/reset covers all streams while the finished request is cleared
   /// from the owning stream's queue only.
   Status RunOne(CheckpointRequest* req, uint32_t stream);
+
+  /// The devices' retention rule, run once an install has committed: the
+  /// checkpoint disk drops the superseded image in `old_slot` (if
+  /// `had_old`), and every log stream drops its pages below its log
+  /// tail — stream 0 only those already rolled onto the archive, which
+  /// itself drops rolled pages below the tail. Recovery can read none of
+  /// it again. Takes no virtual time.
+  void ReleaseUnreadable(bool had_old, uint64_t old_slot);
 
   Database* db_;
   uint64_t completed_ = 0;

@@ -109,6 +109,15 @@ class RecoveryManager {
     return first_lsn_list_;
   }
 
+  /// The log tail: the oldest first-page LSN on the First-LSN list, or
+  /// the next LSN when no partition has log pages on disk. No recovery
+  /// path reads below it (CollectPageList stops at each bin's first
+  /// page), so the pages there are free for reuse.
+  uint64_t log_tail() const {
+    return first_lsn_list_.empty() ? log_writer_->next_lsn()
+                                   : first_lsn_list_.begin()->first;
+  }
+
  private:
   Status SortOne(const LogRecord& rec, uint64_t now_ns);
   Status FlushBin(uint32_t bin_index, PartitionBin* bin, uint64_t now_ns);

@@ -85,7 +85,11 @@ Status Resilverer::Step(uint64_t now_ns, uint64_t* done_ns, bool* done) {
       continue;
     }
     uint64_t read_done = t;
-    MMDB_RETURN_IF_ERROR(ReadSource(page_no, t, &read_done, &page));
+    Status rs = ReadSource(page_no, t, &read_done, &page);
+    // Neither the source nor the archive holds it: the page fell below
+    // the log tail and was released since Start, so nothing needs it.
+    if (rs.IsNotFound()) continue;
+    MMDB_RETURN_IF_ERROR(rs);
     t = dst.WritePage(page_no, page, read_done, sim::SeekClass::kSequential);
     MMDB_RETURN_IF_ERROR(fault::Barrier(fault_));
     ++pages_done_;

@@ -50,7 +50,8 @@ class Resilverer {
 
   /// Copies up to pages_per_step pages. `*done_ns` receives the disk
   /// completion time of the last copy; sets `*done` (and deactivates)
-  /// when the worklist is exhausted.
+  /// when the worklist is exhausted. A page released below the log tail
+  /// since Start (gone from the source and the archive) is skipped.
   Status Step(uint64_t now_ns, uint64_t* done_ns, bool* done);
 
   /// A crash loses the volatile copy cursor; call Start again after

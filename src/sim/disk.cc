@@ -51,6 +51,10 @@ std::vector<uint64_t> Disk::StoredPageNumbers() const {
   return pages;
 }
 
+void Disk::Discard(uint64_t first_page_no, uint64_t pages) {
+  for (uint64_t i = 0; i < pages; ++i) store_.erase(first_page_no + i);
+}
+
 Result<Disk::StoredPage*> Disk::Find(uint64_t page_no) {
   auto it = store_.find(page_no);
   if (it == store_.end()) {

@@ -150,6 +150,13 @@ class Disk {
   /// enumeration for re-silvering).
   std::vector<uint64_t> StoredPageNumbers() const;
 
+  /// Drops the stored pages among `pages` consecutive page numbers from
+  /// `first_page_no` (numbers never written are skipped). The owner has
+  /// freed that space for reuse and no recovery path reads it again, so
+  /// the simulator stops holding the bytes. The device does nothing: no
+  /// virtual time, no counters, no fault hook.
+  void Discard(uint64_t first_page_no, uint64_t pages);
+
   /// Simulated media failure: drops all pages; reads fail until repaired.
   void FailMedia() {
     failed_ = true;
@@ -288,6 +295,12 @@ class DuplexedDisk {
     }
     return ReadWithFallback(first, second, page_no, now_ns, seek, data,
                             done_ns);
+  }
+
+  /// Drops the pages on both members (see Disk::Discard).
+  void Discard(uint64_t first_page_no, uint64_t pages) {
+    primary_.Discard(first_page_no, pages);
+    mirror_.Discard(first_page_no, pages);
   }
 
   uint64_t mirror_fallbacks() const { return mirror_fallbacks_; }

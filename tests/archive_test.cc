@@ -73,5 +73,29 @@ TEST(ArchiveManagerTest, RollLogIsIdempotentAndSparseTolerant) {
   EXPECT_EQ(am.archived_log_pages(), 4u);
 }
 
+TEST(ArchiveManagerTest, ReleaseLogBelowKeepsPagesFromTheTail) {
+  ArchiveManager am;
+  sim::DuplexedDisk logs("log", sim::DiskParams{.page_size_bytes = 1024});
+  for (uint64_t lsn = 0; lsn < 8; ++lsn) {
+    logs.WritePage(lsn, LogPage(static_cast<uint8_t>(lsn)), 0,
+                   sim::SeekClass::kNear);
+  }
+  ASSERT_OK(am.RollLog(&logs, 6));
+  EXPECT_EQ(am.rolled_up_to(), 6u);
+  am.ReleaseLogBelow(4);
+  std::vector<uint64_t> kept;
+  for (const auto& [lsn, page] : am.log_page_archive()) kept.push_back(lsn);
+  EXPECT_EQ(kept, (std::vector<uint64_t>{4, 5}));
+  am.ReleaseLogBelow(2);  // a lower tail releases nothing more
+  EXPECT_EQ(am.log_page_archive().size(), 2u);
+  // Released pages are not rolled again; the roll continues from 6.
+  ASSERT_OK(am.RollLog(&logs, 8));
+  EXPECT_EQ(am.archived_log_pages(), 8u);
+  EXPECT_EQ(am.log_page_archive().size(), 4u);
+  am.ReleaseLogBelow(100);
+  EXPECT_TRUE(am.log_page_archive().empty());
+  EXPECT_EQ(am.rolled_up_to(), 8u);
+}
+
 }  // namespace
 }  // namespace mmdb

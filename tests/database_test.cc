@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "core/database.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace mmdb {
 namespace {
@@ -290,6 +293,107 @@ TEST_F(DatabaseTest, ForceCheckpointRelationCoversIndexes) {
   for (const auto& d : rel->partitions) EXPECT_TRUE(d.has_checkpoint());
   ASSERT_OK_AND_ASSIGN(auto* idx, db_.catalog().GetIndex("acct_id"));
   for (const auto& d : idx->partitions) EXPECT_TRUE(d.has_checkpoint());
+}
+
+// Where InsertEntity's full first-fit scan puts `data`: the first
+// partition of the segment whose free space plus garbage covers the
+// entity and its 16-byte slot estimate, if that partition accepts it
+// (tried on a copy); otherwise nullopt, a fresh partition.
+std::optional<PartitionId> FirstFit(Database& db, SegmentId segment,
+                                    const std::vector<uint8_t>& data) {
+  const auto need = static_cast<uint32_t>(data.size()) + 16;
+  for (Partition* p : db.partitions().SegmentPartitions(segment)) {
+    if (p->free_bytes() + p->garbage_bytes() < need) continue;
+    auto copy = Partition::FromImage(p->image());
+    EXPECT_OK(copy.status());
+    if (!copy.ok() || !copy.value()->Insert(data).ok()) return std::nullopt;
+    return p->id();
+  }
+  return std::nullopt;
+}
+
+TEST(InsertPlacementTest, MatchesFullFirstFitScanAcrossFreeingOperations) {
+  // Inserts into "a" interleave with operations that free space elsewhere
+  // (same-size updates in another segment) and in "a" itself (deletes in
+  // its earliest partitions, shrinking updates, aborted inserts). Every
+  // insert must land where a full first-fit scan says, however the
+  // insert accelerator resumes its scan.
+  Database db(SmallOptions());
+  Schema schema({{"id", ColumnType::kInt64}, {"pad", ColumnType::kString}});
+  ASSERT_OK(db.CreateRelation("a", schema));
+  ASSERT_OK(db.CreateRelation("b", schema));
+  const SegmentId seg_a = db.catalog().GetRelation("a").value()->segment;
+  std::vector<std::pair<int64_t, EntityAddr>> rows_a, rows_b;
+  auto txn = db.Begin();
+  ASSERT_OK(txn.status());
+  for (int64_t i = 0; i < 700; ++i) {
+    ASSERT_OK_AND_ASSIGN(EntityAddr a, db.Insert(txn.value(), "a",
+                                                 Tuple{i, std::string(40, 'a')}));
+    rows_a.emplace_back(i, a);
+  }
+  for (int64_t i = 0; i < 300; ++i) {
+    ASSERT_OK_AND_ASSIGN(EntityAddr b, db.Insert(txn.value(), "b",
+                                                 Tuple{i, std::string(40, 'b')}));
+    rows_b.emplace_back(i, b);
+  }
+  ASSERT_OK(db.Commit(txn.value()));
+  ASSERT_GE(db.partitions().SegmentPartitions(seg_a).size(), 3u);
+
+  Random rng(42);
+  int64_t next_id = 1000;
+  uint64_t earlier_hits = 0;
+  for (int i = 0; i < 600; ++i) {
+    auto t = db.Begin();
+    ASSERT_OK(t.status());
+    switch (i % 5) {
+      case 0: {  // same-size update in the other segment
+        auto& [id, addr] = rows_b[rng.Uniform(rows_b.size())];
+        ASSERT_OK(db.Update(t.value(), "b", addr,
+                            Tuple{id, std::string(40, 'c')}));
+        break;
+      }
+      case 1: {  // delete in one of a's two earliest partitions
+        for (int tries = 0; tries < 50 && !rows_a.empty(); ++tries) {
+          size_t k = rng.Uniform(rows_a.size());
+          if (rows_a[k].second.partition.number > 1) continue;
+          ASSERT_OK(db.Delete(t.value(), "a", rows_a[k].second));
+          rows_a.erase(rows_a.begin() + static_cast<long>(k));
+          break;
+        }
+        break;
+      }
+      case 2: {  // shrinking update in a
+        auto& [id, addr] = rows_a[rng.Uniform(rows_a.size())];
+        ASSERT_OK(db.Update(t.value(), "a", addr, Tuple{id, std::string()}));
+        break;
+      }
+      case 3: {  // an insert into a that rolls back
+        auto u = db.Begin();
+        ASSERT_OK(u.status());
+        ASSERT_OK(db.Insert(u.value(), "a", Tuple{int64_t{-1}, std::string(60, 'e')})
+                      .status());
+        ASSERT_OK(db.Abort(u.value()));
+        break;
+      }
+      default:
+        break;
+    }
+    Tuple tuple{next_id, std::string(rng.Uniform(60), 'f')};
+    ASSERT_OK_AND_ASSIGN(auto bytes, schema.Encode(tuple));
+    std::optional<PartitionId> expect = FirstFit(db, seg_a, bytes);
+    const size_t before = db.partitions().SegmentPartitions(seg_a).size();
+    ASSERT_OK_AND_ASSIGN(EntityAddr got, db.Insert(t.value(), "a", tuple));
+    if (expect.has_value()) {
+      ASSERT_EQ(got.partition, *expect) << "insert " << i;
+      if (expect->number + 1 < before) ++earlier_hits;
+    } else {
+      ASSERT_EQ(got.partition.number, before) << "insert " << i;
+    }
+    rows_a.emplace_back(next_id++, got);
+    ASSERT_OK(db.Commit(t.value()));
+  }
+  // Freed space in earlier partitions was actually reused.
+  EXPECT_GT(earlier_hits, 0u);
 }
 
 }  // namespace

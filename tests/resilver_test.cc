@@ -35,6 +35,34 @@ Status Fill(Database* db, const std::string& rel, int from, int to) {
   return db->Commit(txn.value());
 }
 
+// A database whose relation "r" (400 committed rows) keeps a log chain
+// that lags below the log window, so the archive still holds rolled pages
+// that recovery can read. Relation "s" pushes the window past r's chain
+// and is checkpointed by update count; r's own age checkpoint, queued
+// behind it, waits on `*hold`, an open transaction on "r". Checkpoints
+// run only when RunCheckpoints is called.
+DatabaseOptions LaggingChainOptions() {
+  DatabaseOptions o = SmallOptions();
+  o.log_window_pages = 32;
+  o.grace_pages = 0;
+  o.n_update = 450;  // r's 400 records stay below it; s's first partition not
+  o.auto_run_checkpoints = false;
+  return o;
+}
+
+void SetUpLaggingChain(Database* db, Transaction** hold) {
+  ASSERT_OK(db->CreateRelation("r", S()));
+  ASSERT_OK(db->CreateRelation("s", S()));
+  ASSERT_OK(Fill(db, "r", 0, 400));
+  ASSERT_OK(Fill(db, "s", 0, 1500));
+  ASSERT_OK_AND_ASSIGN(*hold, db->Begin());
+  ASSERT_OK(db->Insert(*hold, "r", Tuple{int64_t{-1}, int64_t{-1}}).status());
+  ASSERT_OK(db->RunCheckpoints());
+  // r's chain starts below the rolled-up-to point: the archive keeps the
+  // rolled pages from there on.
+  ASSERT_LT(db->recovery_manager().log_tail(), db->archive().rolled_up_to());
+}
+
 // Every page of `a` must be present on `b` with identical bytes.
 void ExpectMembersEqual(sim::Disk& a, sim::Disk& b) {
   std::vector<uint64_t> pages_a = a.StoredPageNumbers();
@@ -174,17 +202,49 @@ TEST(ResilverTest, InjectedCrashDuringResilverRecovers) {
   ExpectMembersEqual(db.log_disks().primary(), db.log_disks().mirror());
 }
 
-TEST(ResilverTest, FallsBackToArchiveWhenMirrorCannotServePage) {
-  // Small log window so checkpoints roll old log pages into the archive.
+TEST(ResilverTest, SkipsPagesReleasedWhileRunning) {
+  // Checkpoints keep running while a re-silver copies in quanta: pages on
+  // its worklist can fall below the log tail and be released from the
+  // source and the archive before the cursor reaches them. Nothing needs
+  // them any more, so the run skips them and still ends with equal
+  // members.
   DatabaseOptions o = SmallOptions();
-  o.log_window_pages = 4;
-  o.grace_pages = 0;
+  o.log_window_pages = 8;
+  o.grace_pages = 2;
+  o.auto_run_checkpoints = false;  // the log stays whole until Start
   Database db(o);
   ASSERT_OK(db.CreateRelation("r", S()));
-  ASSERT_OK(Fill(&db, "r", 0, 400));
+  ASSERT_OK(Fill(&db, "r", 0, 1500));
+  db.log_disks().mirror().FailMedia();
+  ASSERT_OK(db.StartLogDiskResilver(1));
+  bool done = false;
+  ASSERT_OK(db.ResilverStep(&done));
+  ASSERT_FALSE(done);
+  const uint64_t released = db.log_writer().released_below();
   ASSERT_OK(db.CheckpointEverything());
+  ASSERT_GT(db.log_writer().released_below(), released)
+      << "test setup: the checkpoints must release pages on the worklist";
+  ASSERT_OK(db.ResilverToCompletion());
+  ExpectMembersEqual(db.log_disks().primary(), db.log_disks().mirror());
+
+  db.Crash();
+  ASSERT_OK(db.Restart());
+  auto txn = db.Begin();
+  ASSERT_OK(txn.status());
+  ASSERT_OK_AND_ASSIGN(auto rows, db.Scan(txn.value(), "r"));
+  EXPECT_EQ(rows.size(), 1500u);
+  ASSERT_OK(db.Commit(txn.value()));
+}
+
+TEST(ResilverTest, FallsBackToArchiveWhenMirrorCannotServePage) {
+  // The window rolls old log pages into the archive while r's chain
+  // still needs some of them.
+  Database db(LaggingChainOptions());
+  Transaction* hold = nullptr;
+  ASSERT_NO_FATAL_FAILURE(SetUpLaggingChain(&db, &hold));
   ASSERT_GT(db.archive().archived_log_pages(), 0u)
       << "test setup: the window must have rolled pages into the archive";
+  ASSERT_FALSE(db.archive().log_page_archive().empty());
   uint64_t archived_page = db.archive().log_page_archive().begin()->first;
 
   db.log_disks().mirror().FailMedia();
@@ -211,14 +271,14 @@ TEST(ResilverTest, FallsBackToArchiveWhenMirrorCannotServePage) {
 }
 
 TEST(ResilverTest, RestoresCorruptSourcePageFromArchiveCopy) {
-  DatabaseOptions o = SmallOptions();
-  o.log_window_pages = 4;
-  o.grace_pages = 0;
-  Database db(o);
-  ASSERT_OK(db.CreateRelation("r", S()));
-  ASSERT_OK(Fill(&db, "r", 0, 400));
-  ASSERT_OK(db.CheckpointEverything());
-  ASSERT_GT(db.archive().archived_log_pages(), 0u);
+  // The window rolls old log pages into the archive while r's chain
+  // still needs some of them.
+  Database db(LaggingChainOptions());
+  Transaction* hold = nullptr;
+  ASSERT_NO_FATAL_FAILURE(SetUpLaggingChain(&db, &hold));
+  ASSERT_GT(db.archive().archived_log_pages(), 0u)
+      << "test setup: the window must have rolled pages into the archive";
+  ASSERT_FALSE(db.archive().log_page_archive().empty());
   const auto& [archived_page, archived_ref] =
       *db.archive().log_page_archive().begin();
   const std::vector<uint8_t> archived_bytes = *archived_ref;
@@ -245,16 +305,16 @@ TEST(ResilverTest, RestoresCorruptSourcePageFromArchiveCopy) {
 }
 
 TEST(ResilverTest, MirrorAndArchiveServeAfterPrimaryMediaFailure) {
-  DatabaseOptions o = SmallOptions();
-  o.log_window_pages = 4;
-  o.grace_pages = 0;
-  Database db(o);
-  ASSERT_OK(db.CreateRelation("r", S()));
-  ASSERT_OK(Fill(&db, "r", 0, 400));
-  ASSERT_OK(db.CheckpointEverything());
-  ASSERT_GT(db.archive().archived_log_pages(), 0u);
+  // The window rolls old log pages into the archive while r's chain
+  // still needs some of them.
+  Database db(LaggingChainOptions());
+  Transaction* hold = nullptr;
+  ASSERT_NO_FATAL_FAILURE(SetUpLaggingChain(&db, &hold));
+  ASSERT_GT(db.archive().archived_log_pages(), 0u)
+      << "test setup: the window must have rolled pages into the archive";
 
   db.log_disks().primary().FailMedia();
+  ASSERT_FALSE(db.archive().log_page_archive().empty());
   for (const auto& [lsn, ref] : db.archive().log_page_archive()) {
     sim::PageRef bytes;
     uint64_t done = 0;

@@ -21,6 +21,37 @@ TEST(SchemaTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back, t);
 }
 
+TEST(SchemaTest, EncodeProducesGoldenBytes) {
+  // Pins the tuple wire format: int64 as 8 little-endian bytes, string as
+  // a u32 little-endian length plus its bytes. Partition images and log
+  // records on disk hold these bytes, so they must never change.
+  Schema s = AccountSchema();
+  Tuple t{int64_t{0x0102030405060708}, int64_t{-2}, std::string("ab")};
+  ASSERT_OK_AND_ASSIGN(auto bytes, s.Encode(t));
+  const std::vector<uint8_t> golden = {
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // id
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // balance = -2
+      0x02, 0x00, 0x00, 0x00, 'a',  'b',               // owner
+  };
+  EXPECT_EQ(bytes, golden);
+  EXPECT_EQ(bytes.capacity(), golden.size());  // reserved exactly once
+}
+
+TEST(WireTest, PutHelpersAppendLittleEndianWords) {
+  std::vector<uint8_t> b{0xAA};
+  wire::PutU16(&b, 0x0102);
+  wire::PutU32(&b, 0x03040506);
+  wire::PutU64(&b, 0x0708090A0B0C0D0E);
+  wire::PutI64(&b, -1);
+  wire::PutU8(&b, 0x0F);
+  const std::vector<uint8_t> golden = {
+      0xAA, 0x02, 0x01, 0x06, 0x05, 0x04, 0x03, 0x0E, 0x0D,
+      0x0C, 0x0B, 0x0A, 0x09, 0x08, 0x07, 0xFF, 0xFF, 0xFF,
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F,
+  };
+  EXPECT_EQ(b, golden);
+}
+
 TEST(SchemaTest, ValidateRejectsArityAndTypeMismatch) {
   Schema s = AccountSchema();
   EXPECT_TRUE(s.Validate(Tuple{int64_t{1}}).IsInvalidArgument());

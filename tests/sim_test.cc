@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
 #include "recovery/archive.h"
 #include "sim/clock.h"
 #include "sim/cpu.h"
@@ -126,6 +128,66 @@ TEST(DiskTest, MediaFailureDropsDataUntilRepaired) {
   d.WritePage(1, MakePage(testing::FilledBytes(16, 2)), 0,
               SeekClass::kRandom);
   ASSERT_OK(d.ReadPage(1, 0, SeekClass::kRandom, &out, &done));
+}
+
+TEST(DiskTest, DiscardDropsPagesWithoutTimeOrCounters) {
+  obs::MetricsRegistry reg;
+  Disk d("d", DiskParams{});
+  d.AttachMetrics(&reg);
+  PageRef data = MakePage(testing::FilledBytes(64, 5));
+  uint64_t t = 0;
+  for (uint64_t p : {0, 1, 2, 3, 4, 5, 100}) {
+    t = d.WritePage(p, data, t, SeekClass::kSequential);
+  }
+  PageRef out;
+  uint64_t done = 0;
+  ASSERT_OK(d.ReadPage(5, t, SeekClass::kNear, &out, &done));
+  const uint64_t busy_until = d.busy_until_ns();
+  const double busy_ms = d.busy_ms_total();
+  const uint64_t seeks = d.seeks();
+  const uint64_t bytes_written = d.bytes_written();
+  const uint64_t bytes_read = d.bytes_read();
+  const std::string metrics = obs::RegistryToJsonValue(reg).Dump();
+
+  d.Discard(1, 3);  // pages 1..3
+  EXPECT_EQ(d.StoredPageNumbers(), (std::vector<uint64_t>{0, 4, 5, 100}));
+  d.Discard(50, 10);  // never written: nothing to drop
+  EXPECT_EQ(d.StoredPageNumbers(), (std::vector<uint64_t>{0, 4, 5, 100}));
+  d.Discard(5, 100);
+  EXPECT_EQ(d.StoredPageNumbers(), (std::vector<uint64_t>{0, 4}));
+
+  // The device did nothing: timeline, counters and metric series are as
+  // they were before the discards.
+  EXPECT_EQ(d.busy_until_ns(), busy_until);
+  EXPECT_EQ(d.busy_ms_total(), busy_ms);
+  EXPECT_EQ(d.pages_written(), 7u);
+  EXPECT_EQ(d.pages_read(), 1u);
+  EXPECT_EQ(d.seeks(), seeks);
+  EXPECT_EQ(d.bytes_written(), bytes_written);
+  EXPECT_EQ(d.bytes_read(), bytes_read);
+  EXPECT_EQ(obs::RegistryToJsonValue(reg).Dump(), metrics);
+
+  EXPECT_TRUE(d.ReadPage(2, 0, SeekClass::kNear, &out, &done).IsNotFound());
+  ASSERT_OK(d.ReadPage(4, 0, SeekClass::kNear, &out, &done));
+  EXPECT_EQ(*out, *data);
+}
+
+TEST(DuplexedDiskTest, DiscardDropsPagesOnBothMembers) {
+  DuplexedDisk dd("log", DiskParams{});
+  PageRef data = MakePage(testing::FilledBytes(64, 6));
+  for (uint64_t p = 0; p < 6; ++p) {
+    dd.WritePage(p, data, 0, SeekClass::kSequential);
+  }
+  const uint64_t busy_a = dd.primary().busy_until_ns();
+  const uint64_t busy_b = dd.mirror().busy_until_ns();
+  dd.Discard(0, 4);
+  for (int m = 0; m < 2; ++m) {
+    EXPECT_EQ(dd.member(m).StoredPageNumbers(), (std::vector<uint64_t>{4, 5}));
+    EXPECT_EQ(dd.member(m).pages_written(), 6u);
+    EXPECT_EQ(dd.member(m).pages_read(), 0u);
+  }
+  EXPECT_EQ(dd.primary().busy_until_ns(), busy_a);
+  EXPECT_EQ(dd.mirror().busy_until_ns(), busy_b);
 }
 
 TEST(DiskTest, ReadTrackReturnsAllPages) {
