@@ -69,6 +69,10 @@ void PrintModes() {
     series.push_back(std::move(point));
     report.Headline(std::string("txn_per_vsec_") + row.name,
                     kTxns / (elapsed_ms * 1e-3));
+    // Gated virtual-time headlines (bench_diff: `_vms` keys, lower is
+    // better) for the disk-force and group-commit log-force paths.
+    report.Headline(std::string("elapsed_vms_") + row.name, elapsed_ms);
+    report.Headline(std::string("avg_commit_wait_vms_") + row.name, avg_wait);
     if (row.mode == CommitMode::kDiskForce) report.AddRegistry(db.metrics());
   }
   report.Set("series", std::move(series));

@@ -303,6 +303,21 @@ namespace {
 constexpr uint64_t kWalPageBase = 1ull << 62;
 }  // namespace
 
+uint64_t Database::ForceWalPages(uint64_t pages, uint64_t now_ns) {
+  // The baselines model only the force's device time: the pages carry a
+  // marker nothing ever reads, so each is dropped from the simulated
+  // store again once written (no virtual time, no counters).
+  const sim::PageRef marker = sim::MakePage(std::vector<uint8_t>(16, 0));
+  const uint64_t first = kWalPageBase + wal_page_counter_;
+  uint64_t done = now_ns;
+  for (uint64_t p = 0; p < pages; ++p) {
+    done = log_disks_->WritePage(kWalPageBase + wal_page_counter_++, marker,
+                                 done, sim::SeekClass::kSequential);
+  }
+  log_disks_->Discard(first, pages);
+  return done;
+}
+
 void Database::ApplyCommitDurability(uint64_t redo_bytes) {
   switch (opts_.commit_mode) {
     case CommitMode::kStableMemory:
@@ -313,13 +328,7 @@ void Database::ApplyCommitDurability(uint64_t redo_bytes) {
       uint64_t pages =
           (redo_bytes + opts_.log_page_bytes - 1) / opts_.log_page_bytes;
       uint64_t start = vnow();
-      uint64_t done = start;
-      const sim::PageRef marker = sim::MakePage(std::vector<uint8_t>(16, 0));
-      for (uint64_t p = 0; p < pages; ++p) {
-        done = log_disks_->WritePage(kWalPageBase + wal_page_counter_++,
-                                     marker, done,
-                                     sim::SeekClass::kSequential);
-      }
+      uint64_t done = ForceWalPages(pages, start);
       WaitUntil(done);
       ++log_forces_;
       m_log_forces_->Add(1);
@@ -347,12 +356,7 @@ void Database::FlushCommitGroup() {
   // Under concurrent execution the group's flush starts no earlier than
   // the flushing worker's own time; members from other workers recorded
   // their precommit times above (`since`) and wait the difference.
-  uint64_t done = vnow();
-  const sim::PageRef marker = sim::MakePage(std::vector<uint8_t>(16, 0));
-  for (uint64_t p = 0; p < pages; ++p) {
-    done = log_disks_->WritePage(kWalPageBase + wal_page_counter_++, marker,
-                                 done, sim::SeekClass::kSequential);
-  }
+  uint64_t done = ForceWalPages(pages, vnow());
   WaitUntil(done);
   ++log_forces_;
   m_log_forces_->Add(1);
@@ -683,7 +687,8 @@ Result<Partition*> Database::ResidentPartition(PartitionId pid) {
   if (ctx != nullptr) clock_.AdvanceTo(ctx->cpu->busy_until_ns());
   RestartReport scratch;
   uint64_t start_ns = clock_.now_ns();
-  Status rec = RecoverPartitionInternal(pid, d->checkpoint_page, &scratch);
+  Status rec = RecoverPartitionsParallel(
+      {RecoveryWorkItem{pid, d->checkpoint_page}}, &scratch);
   if (ctx != nullptr) {
     ctx->cpu->IdleUntil(clock_.now_ns());
     exec_ = ctx;
@@ -834,115 +839,6 @@ Status Database::WriteCatalogRootBlock() {
   meter_->ChargeWrite(2 * b.size());
   slb_->SetCatalogRoot(b);
   slt_->SetCatalogRoot(std::move(b));
-  return Status::OK();
-}
-
-Status Database::RecoverPartitionInternal(PartitionId pid, uint64_t ckpt_page,
-                                          RestartReport* report) {
-  return RecoverPartitionsParallel({RecoveryWorkItem{pid, ckpt_page}}, report);
-}
-
-Status Database::RecoverPartitionSerial(PartitionId pid, uint64_t ckpt_page,
-                                        RestartReport* report) {
-  uint64_t t = clock_.now_ns();
-  const uint64_t t_entry = t;
-  auto bin_idx = slt_->FindBin(pid);
-  if (!bin_idx.ok()) {
-    return Status::Corruption("no Stable Log Tail bin for " + pid.ToString());
-  }
-
-  std::unique_ptr<Partition> part;
-  if (ckpt_page != kNoCheckpointPage) {
-    uint32_t pages_per_slot =
-        opts_.partition_size_bytes / opts_.log_page_bytes;
-    std::vector<uint8_t> image;
-    image.reserve(opts_.partition_size_bytes);
-    uint64_t done = 0;
-    Status rd;
-    for (uint32_t attempt = 0;; ++attempt) {
-      rd = checkpoint_disk_->ReadTrackInto(ckpt_page, pages_per_slot, t,
-                                           sim::SeekClass::kRandom, &image,
-                                           &done);
-      if (rd.ok() || !rd.IsIOError() ||
-          attempt + 1 >= sim::kReadRetryAttempts) {
-        break;
-      }
-      t += (attempt + 1) * sim::kReadRetryBackoffNs;
-      m_disk_retries_->Add(1);
-    }
-    MMDB_RETURN_IF_ERROR(rd);
-    t = done;
-    auto from = Partition::FromImage(std::move(image));
-    if (!from.ok()) return from.status();
-    part = std::move(from).value();
-    if (!(part->id() == pid)) {
-      return Status::Corruption("checkpoint image is for wrong partition");
-    }
-  } else {
-    part = std::make_unique<Partition>(pid, opts_.partition_size_bytes,
-                                       bin_idx.value());
-  }
-
-  std::vector<LogRecord> records;
-  if (extra_streams_.empty()) {
-    // Ordered log page reads: anchors backward, then stream forward
-    // (§2.5.1). Page payloads are byte ranges of the bin's record stream;
-    // concatenate them (plus the stable active page) and apply.
-    std::vector<uint64_t> lsns;
-    uint64_t backward = 0, done = t;
-    MMDB_RETURN_IF_ERROR(recovery_->CollectPageList(bin_idx.value(), t, &lsns,
-                                                    &backward, &done));
-    t = done;
-    std::vector<uint8_t> stream;
-    for (uint64_t lsn : lsns) {
-      ParsedLogPage page;
-      MMDB_RETURN_IF_ERROR(
-          log_writer_->ReadPage(lsn, t, sim::SeekClass::kNear, &page, &done));
-      t = done;
-      stream.insert(stream.end(), page.payload.begin(), page.payload.end());
-      ++report->log_pages_read;
-    }
-    auto bin = slt_->bin(bin_idx.value());
-    if (bin.ok() && !bin.value()->active_page.empty()) {
-      meter_->ChargeRead(bin.value()->active_page.size());
-      stream.insert(stream.end(), bin.value()->active_page.begin(),
-                    bin.value()->active_page.end());
-    }
-    MMDB_RETURN_IF_ERROR(ParseLogStream(stream, &records));
-  } else {
-    // Partitioned-log mode: each stream's chain is read on its own disk
-    // pair, overlapping the checkpoint-image transfer above (different
-    // devices), and the per-stream record sequences are merged back into
-    // group-commit order. The apply is gated on the slowest of them.
-    uint64_t pages = 0, merged_done = t_entry;
-    MMDB_RETURN_IF_ERROR(CollectMergedRecords(bin_idx.value(), t_entry,
-                                              &records, &pages, &merged_done));
-    t = std::max(t, merged_done);
-    report->log_pages_read += pages;
-  }
-  if (fault_->armed()) {
-    // restart.apply site: a crash here models a crash-within-restart —
-    // the half-applied partition is volatile and simply rebuilt again.
-    fault::SiteEvent ev;
-    ev.site = fault::Site::kRestartApply;
-    ev.device = "recovery";
-    ev.page_no = pid.Pack();
-    ev.now_ns = t;
-    MMDB_RETURN_IF_ERROR(fault_->OnSite(&ev));
-  }
-  for (const LogRecord& rec : records) {
-    MMDB_RETURN_IF_ERROR(ApplyLogRecord(rec, part.get()));
-    main_cpu_.Execute(opts_.apply_instructions_per_record);
-    ++report->records_applied;
-  }
-
-  clock_.AdvanceTo(t);
-  main_cpu_.IdleUntil(clock_.now_ns());
-  MMDB_RETURN_IF_ERROR(v_->pm.InstallRecovered(std::move(part)));
-  NoteSpaceFreed();
-  auto d = v_->catalog.FindDescriptor(pid);
-  if (d.ok()) d.value()->resident = true;
-  ++report->partitions_recovered;
   return Status::OK();
 }
 
@@ -1184,6 +1080,13 @@ void Database::ReleaseSegmentStorage(
     Status st = v_->pm.DropPartition(d.id);
     NoteSpaceFreed();
     (void)st;  // non-resident partitions are fine
+    // The drop is committed, so no restart can read the image again. A
+    // slot handed out again since belongs to its new image.
+    if (d.has_checkpoint() &&
+        v_->disk_map.owner(d.checkpoint_slot) == DiskAllocationMap::kFree) {
+      checkpoint_disk_->Discard(v_->disk_map.SlotFirstPage(d.checkpoint_slot),
+                                v_->disk_map.pages_per_slot());
+    }
   }
 }
 
@@ -1958,7 +1861,7 @@ void Database::Crash() {
   resilver_->OnCrash();
   fault_->OnCrashDelivered();
   crashed_ = true;
-  ++ddl_epoch_;  // the background-sweep cursor indexed the lost catalog
+  ++ddl_epoch_;  // the background-sweep queue indexed the lost catalog
   // Volatile metrics reset with the state they measured; the new lock
   // table / txn manager get fresh handle hookups.
   metrics_.ResetVolatile();
@@ -2025,14 +1928,8 @@ Status Database::RecoverRelation(const std::string& relation) {
 
 Status Database::BackgroundRecoveryStep(bool* done, RestartReport* report) {
   if (crashed_) return Status::InvalidArgument("crashed; call Restart()");
-  // The kFullReload restart sweep keeps catalog iteration order: it
-  // restores everything anyway (ordering buys nothing) and its restart
-  // timings are baselined on the catalog scan's seek pattern. Under
-  // kOnDemand the sweep is heat-ordered — Zipf-hot partitions first —
-  // so transactions stop faulting as early as possible.
-  if (opts_.restart_policy == RestartPolicy::kFullReload) {
-    return BackgroundRecoveryStepCatalogOrder(done, report);
-  }
+  // One step recovers up to one batch of lanes off the sweep queue (heat
+  // order under kOnDemand, catalog order under kFullReload).
   *done = true;
   const size_t batch = std::max<uint32_t>(1, opts_.recovery_parallelism);
   std::vector<RecoveryWorkItem> work;
@@ -2040,63 +1937,7 @@ Status Database::BackgroundRecoveryStep(bool* done, RestartReport* report) {
   while (work.size() < batch && NextSweepItem(&item)) work.push_back(item);
   if (work.empty()) return Status::OK();
   *done = false;
-  return RecoverSweepBatch(work, report);
-}
 
-Status Database::BackgroundRecoveryStepCatalogOrder(bool* done,
-                                                    RestartReport* report) {
-  *done = true;
-  if (bg_cursor_.epoch != ddl_epoch_) {
-    bg_cursor_ = BackgroundCursor{};
-    bg_cursor_.epoch = ddl_epoch_;
-  }
-  // One step recovers up to one batch of lanes. The cursor resumes the
-  // catalog scan where the previous step stopped: within one DDL epoch
-  // residency only ever flips non-resident -> resident, so everything
-  // behind the cursor is known resident and a full sweep is
-  // O(partitions), not O(partitions²).
-  const size_t batch = std::max<uint32_t>(1, opts_.recovery_parallelism);
-  std::vector<RecoveryWorkItem> work;
-  auto rels = v_->catalog.AllRelations();
-  while (bg_cursor_.relation < rels.size() && work.size() < batch) {
-    auto rel = v_->catalog.GetRelation(rels[bg_cursor_.relation]->name);
-    if (!rel.ok()) return rel.status();
-    // Chain 0 is the relation's own partition list, chain 1+i is index i's.
-    const size_t chains = 1 + rel.value()->index_names.size();
-    while (bg_cursor_.chain < chains && work.size() < batch) {
-      std::vector<PartitionDescriptor>* parts;
-      if (bg_cursor_.chain == 0) {
-        parts = &rel.value()->partitions;
-      } else {
-        auto idx = v_->catalog.GetIndex(
-            rel.value()->index_names[bg_cursor_.chain - 1]);
-        if (!idx.ok()) return idx.status();
-        parts = &idx.value()->partitions;
-      }
-      while (bg_cursor_.partition < parts->size() && work.size() < batch) {
-        PartitionDescriptor& d = (*parts)[bg_cursor_.partition];
-        if (!d.resident) {
-          work.push_back(RecoveryWorkItem{d.id, d.checkpoint_page});
-        }
-        ++bg_cursor_.partition;
-      }
-      if (bg_cursor_.partition >= parts->size()) {
-        bg_cursor_.partition = 0;
-        ++bg_cursor_.chain;
-      }
-    }
-    if (bg_cursor_.chain >= chains) {
-      bg_cursor_.chain = 0;
-      ++bg_cursor_.relation;
-    }
-  }
-  if (work.empty()) return Status::OK();
-  *done = false;
-  return RecoverSweepBatch(work, report);
-}
-
-Status Database::RecoverSweepBatch(const std::vector<RecoveryWorkItem>& work,
-                                   RestartReport* report) {
   uint64_t start_ns = clock_.now_ns();
   RestartReport scratch;
   RestartReport* target = report != nullptr ? report : &scratch;

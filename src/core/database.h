@@ -113,8 +113,9 @@ struct DatabaseOptions {
   /// Pipeline each partition's recovery: checkpoint-image transfer,
   /// ordered log-page reads, and record apply overlap on the virtual
   /// timeline (§2.5.1 "overlapped with apply"). When false — and
-  /// recovery_parallelism is 1 — recovery runs the strictly serial legacy
-  /// chain, the ablation baseline.
+  /// recovery_parallelism is 1 — each partition's apply waits for all of
+  /// its reads and runs on the main CPU, one partition after another: the
+  /// strictly serial timing policy, the ablation baseline.
   bool pipelined_recovery = true;
 
   RestartPolicy restart_policy = RestartPolicy::kOnDemand;
@@ -336,18 +337,18 @@ class Database {
     PartitionId pid;
     uint64_t ckpt_page = 0;
   };
-  /// Pops the next non-resident partition off the heat-ordered sweep
-  /// queue (hottest first; see EnsureSweepQueue). Returns false when
+  /// Pops the next non-resident partition off the sweep queue (hottest
+  /// first under kOnDemand; see EnsureSweepQueue). Returns false when
   /// nothing is left to sweep. Shared with BackgroundRecoveryStep, so an
   /// executor-driven sweep and explicit stepping never double-recover.
   bool NextSweepItem(RecoveryWorkItem* item);
-  /// Time-functional single-partition recovery for the interleaved sweep:
-  /// performs the checkpoint-image and log-chain reads with virtual time
-  /// starting at `ready_ns` and the record apply charged to `lane` (a
-  /// recovery-lane timeline) — without advancing the global clock or
-  /// installing, so it can run as an event between transaction
-  /// operations on the unified loop. On success *done_ns is the virtual
-  /// completion time and *out the rebuilt partition.
+  /// The interleaved sweep's timing policy over RebuildPartition: the
+  /// checkpoint-image and log-chain reads start at `ready_ns` and the
+  /// record apply then occupies `lane` (a recovery-lane timeline). It
+  /// neither advances the global clock nor installs, so it can run as an
+  /// event between transaction operations on the unified loop. On success
+  /// *done_ns is the virtual completion time and *out the rebuilt
+  /// partition.
   Status SweepRecoverPartition(const RecoveryWorkItem& item, uint64_t ready_ns,
                                sim::DeviceTimeline* lane, uint64_t* done_ns,
                                std::unique_ptr<Partition>* out,
@@ -579,18 +580,34 @@ class Database {
   Status WriteCatalogRootBlock();
   Status EnsureCatalogPartitionExists();
 
-  /// Rebuilds one partition from its checkpoint image + log chain.
-  /// Dispatches to the pipelined scheduler path unless the options select
-  /// the serial ablation baseline.
-  Status RecoverPartitionInternal(PartitionId pid, uint64_t ckpt_page,
-                                  RestartReport* report);
-  /// The strictly serial legacy chain (checkpoint read, then log reads,
-  /// then apply) — the lanes=1 non-pipelined ablation baseline.
-  Status RecoverPartitionSerial(PartitionId pid, uint64_t ckpt_page,
-                                RestartReport* report);
+  /// Rebuilds one partition (paper §2.5) from its checkpoint image and
+  /// log-bin chain, with device time starting at `ready_ns`. Fires the
+  /// restart.apply fault site once and applies the records, but charges
+  /// no CPU time for the apply, leaves the global clock alone and does
+  /// not install: each caller adds its own timing policy. On success
+  /// *io_done_ns is when the image and log reads were done.
+  Status RebuildPartition(const RecoveryWorkItem& item, uint64_t ready_ns,
+                          std::unique_ptr<Partition>* out,
+                          uint64_t* io_done_ns, uint64_t* records_applied,
+                          uint64_t* pages_read);
+  /// The image-read half of RebuildPartition, shared with the pipelined
+  /// lane scheduler: reads `item`'s checkpoint image from `ready_ns` on,
+  /// retrying transient I/O errors with virtual backoff, or makes a fresh
+  /// partition when it has none. *done_ns is when the image is in memory.
+  Status LoadPartitionImage(const RecoveryWorkItem& item, uint32_t bin_index,
+                            uint64_t ready_ns,
+                            std::unique_ptr<Partition>* out,
+                            uint64_t* done_ns);
+  /// The restart.apply fault site, visited once per rebuilt partition
+  /// before its records are applied.
+  Status RestartApplySite(PartitionId pid, uint64_t now_ns);
+  /// Installs a rebuilt partition and marks its descriptor resident.
+  Status InstallRestored(std::unique_ptr<Partition> part);
 
-  /// Restores `work` on up to recovery_parallelism pipelined lanes over
-  /// the device-queue scheduler (defined in parallel_recovery.cc).
+  /// Restores and installs `work`: on up to recovery_parallelism
+  /// pipelined lanes over the device-queue scheduler, or under the
+  /// strictly serial policy (one non-pipelined lane, or partitioned-log
+  /// mode). Defined in parallel_recovery.cc.
   Status RecoverPartitionsParallel(const std::vector<RecoveryWorkItem>& work,
                                    RestartReport* report);
 
@@ -674,6 +691,9 @@ class Database {
   /// under kDiskForce / kGroupCommit (the paper's baselines).
   void ApplyCommitDurability(uint64_t redo_bytes);
   void FlushCommitGroup();
+  /// Writes `pages` WAL pages back to back onto both log disks from
+  /// `now_ns` on and returns when the last is down.
+  uint64_t ForceWalPages(uint64_t pages, uint64_t now_ns);
 
   /// Resolves the Database's own metric handles and attaches the stable
   /// components (constructor only; their handles outlive every crash).
@@ -745,26 +765,16 @@ class Database {
   std::vector<std::pair<uint64_t, uint64_t>> pending_grants_;
   sim::DeviceTimeline slb_gate_{"slb.alloc_gate"};
 
-  /// Background-sweep resume cursor: position in the catalog scan where
-  /// the previous BackgroundRecoveryStep stopped, so a full sweep is
-  /// O(partitions) instead of O(partitions²). Invalidated (epoch
-  /// mismatch) by any DDL, crash, or restart, since those change the
-  /// catalog iteration order the cursor indexes into.
-  struct BackgroundCursor {
-    uint64_t epoch = ~0ull;  // mismatches ddl_epoch_ until first use
-    size_t relation = 0;     // ordinal into Catalog::AllRelations()
-    size_t chain = 0;        // 0 = relation partitions, 1+i = index i
-    size_t partition = 0;    // ordinal within the chain's partitions
-  };
-  BackgroundCursor bg_cursor_;
+  /// Bumped by every DDL and crash: invalidates the sweep queue below.
   uint64_t ddl_epoch_ = 0;
 
-  /// Heat-ordered background-sweep queue (kOnDemand policy): all
-  /// non-resident partitions at build time, hottest first (heat
-  /// harvested into partition_heat_ by Crash()), partition id ascending
-  /// on ties for determinism. Rebuilt on DDL-epoch mismatch like the
-  /// cursor above; already-resident entries are skipped at pop time.
-  /// Defined in sweep.cc.
+  /// Background-sweep queue: all non-resident partitions at build time.
+  /// Under kOnDemand it is hottest first (heat harvested into
+  /// partition_heat_ by Crash()), partition id ascending on ties for
+  /// determinism; under kFullReload it keeps catalog order. Rebuilt on
+  /// DDL-epoch mismatch (any DDL or crash changes the catalog it
+  /// indexes); already-resident entries are skipped at pop time. Defined
+  /// in sweep.cc.
   void EnsureSweepQueue();
   std::vector<RecoveryWorkItem> bg_queue_;
   size_t bg_queue_pos_ = 0;
@@ -772,14 +782,6 @@ class Database {
   /// Lifetime access counts per partition (pid.Pack() -> touches),
   /// accumulated across crashes. std::map: deterministic order.
   std::map<uint64_t, uint64_t> partition_heat_;
-  /// The catalog-order legacy sweep step (kFullReload keeps it: a full
-  /// reload restores everything anyway, and its restart timings are
-  /// baselined on catalog iteration order).
-  Status BackgroundRecoveryStepCatalogOrder(bool* done, RestartReport* report);
-  /// Gathers up to `batch` sweep items (heat order) and recovers them on
-  /// the parallel lanes; shared tail of BackgroundRecoveryStep.
-  Status RecoverSweepBatch(const std::vector<RecoveryWorkItem>& work,
-                           RestartReport* report);
 
   // stats not covered by components
   uint64_t on_demand_recoveries_ = 0;

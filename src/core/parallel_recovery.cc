@@ -1,14 +1,22 @@
-// Parallel, pipelined post-crash partition recovery (paper §2.5.1).
+// Partition recovery (paper §2.5): one rebuild routine and the timing
+// policies of its callers.
 //
-// The restart path is rewritten on the device-queue scheduler: each of up
-// to DatabaseOptions::recovery_parallelism lanes restores one partition at
-// a time, and within a partition the checkpoint-image transfer, the
-// ordered log-page reads, and the CPU record-apply overlap on the virtual
-// timeline. Device contention — the checkpoint disk, the two duplexed log
-// spindles, and each lane's CPU — is serialized by the devices' own
-// busy-until queues; the EventScheduler merely guarantees requests reach
-// every device in ready-time order, which makes the per-device service
-// order FCFS and the whole schedule deterministic.
+// RebuildPartition is the paper's one restore step — read the checkpoint
+// image, read the partition's log-bin chain, REDO the records — as a
+// time-functional routine: it charges the devices from a given ready time
+// but charges no CPU for the apply, and leaves the clock and the install
+// to its caller. Each caller keeps only its timing policy: the strictly
+// serial policy below, the interleaved sweep (SweepRecoverPartition,
+// core/sweep.cc), and the pipelined lane scheduler, which reuses the
+// image-read half. In the lane scheduler up to
+// DatabaseOptions::recovery_parallelism lanes restore one partition at a
+// time, and within a partition the checkpoint-image transfer, the ordered
+// log-page reads and the record apply overlap on the virtual timeline.
+// Device contention — the checkpoint disk, the two duplexed log spindles,
+// and each lane's CPU — is serialized by the devices' own busy-until
+// queues; the EventScheduler merely guarantees requests reach every
+// device in ready-time order, which makes the per-device service order
+// FCFS and the whole schedule deterministic.
 
 #include <algorithm>
 #include <functional>
@@ -22,35 +30,160 @@
 
 namespace mmdb {
 
+Status Database::LoadPartitionImage(const RecoveryWorkItem& item,
+                                    uint32_t bin_index, uint64_t ready_ns,
+                                    std::unique_ptr<Partition>* out,
+                                    uint64_t* done_ns) {
+  if (item.ckpt_page == kNoCheckpointPage) {
+    *out = std::make_unique<Partition>(item.pid, opts_.partition_size_bytes,
+                                       bin_index);
+    *done_ns = ready_ns;
+    return Status::OK();
+  }
+  const uint32_t pages_per_slot =
+      opts_.partition_size_bytes / opts_.log_page_bytes;
+  std::vector<uint8_t> image;
+  image.reserve(opts_.partition_size_bytes);
+  uint64_t t = ready_ns;
+  Status st;
+  for (uint32_t attempt = 0;; ++attempt) {
+    st = checkpoint_disk_->ReadTrackInto(item.ckpt_page, pages_per_slot, t,
+                                         sim::SeekClass::kRandom, &image,
+                                         done_ns);
+    if (st.ok() || !st.IsIOError() ||
+        attempt + 1 >= sim::kReadRetryAttempts) {
+      break;
+    }
+    t += (attempt + 1) * sim::kReadRetryBackoffNs;
+    m_disk_retries_->Add(1);
+  }
+  MMDB_RETURN_IF_ERROR(st);
+  auto from = Partition::FromImage(std::move(image));
+  if (!from.ok()) return from.status();
+  if (!(from.value()->id() == item.pid)) {
+    return Status::Corruption("checkpoint image is for wrong partition");
+  }
+  *out = std::move(from).value();
+  return Status::OK();
+}
+
+Status Database::RestartApplySite(PartitionId pid, uint64_t now_ns) {
+  if (!fault_->armed()) return Status::OK();
+  // A crash here is a crash-within-recovery: the half-built partition is
+  // volatile and simply rebuilt next time.
+  fault::SiteEvent ev;
+  ev.site = fault::Site::kRestartApply;
+  ev.device = "recovery";
+  ev.page_no = pid.Pack();
+  ev.now_ns = now_ns;
+  return fault_->OnSite(&ev);
+}
+
+Status Database::RebuildPartition(const RecoveryWorkItem& item,
+                                  uint64_t ready_ns,
+                                  std::unique_ptr<Partition>* out,
+                                  uint64_t* io_done_ns,
+                                  uint64_t* records_applied,
+                                  uint64_t* pages_read) {
+  auto bin_idx = slt_->FindBin(item.pid);
+  if (!bin_idx.ok()) {
+    return Status::Corruption("no Stable Log Tail bin for " +
+                              item.pid.ToString());
+  }
+  std::unique_ptr<Partition> part;
+  uint64_t t = ready_ns;
+  MMDB_RETURN_IF_ERROR(
+      LoadPartitionImage(item, bin_idx.value(), ready_ns, &part, &t));
+
+  std::vector<LogRecord> records;
+  uint64_t pages = 0;
+  if (extra_streams_.empty()) {
+    // Ordered log page reads once the image is in: anchors backward, then
+    // the chain forward (§2.5.1). Page payloads are byte ranges of the
+    // bin's record stream; concatenate them plus the stable active page.
+    std::vector<uint64_t> lsns;
+    uint64_t backward = 0;
+    MMDB_RETURN_IF_ERROR(
+        recovery_->CollectPageList(bin_idx.value(), t, &lsns, &backward, &t));
+    std::vector<uint8_t> stream;
+    for (uint64_t lsn : lsns) {
+      ParsedLogPage page;
+      MMDB_RETURN_IF_ERROR(
+          log_writer_->ReadPage(lsn, t, sim::SeekClass::kNear, &page, &t));
+      stream.insert(stream.end(), page.payload.begin(), page.payload.end());
+    }
+    pages = lsns.size();
+    auto bin = slt_->bin(bin_idx.value());
+    if (bin.ok() && !bin.value()->active_page.empty()) {
+      meter_->ChargeRead(bin.value()->active_page.size());
+      stream.insert(stream.end(), bin.value()->active_page.begin(),
+                    bin.value()->active_page.end());
+    }
+    MMDB_RETURN_IF_ERROR(ParseLogStream(stream, &records));
+  } else {
+    // Partitioned-log mode: each stream's chain reads on its own disk
+    // pair from ready_ns on, overlapping the image transfer (different
+    // devices), and the per-stream record sequences merge back into
+    // group-commit order. The apply is gated on the slowest of them.
+    uint64_t merged_done = ready_ns;
+    MMDB_RETURN_IF_ERROR(CollectMergedRecords(bin_idx.value(), ready_ns,
+                                              &records, &pages, &merged_done));
+    t = std::max(t, merged_done);
+  }
+
+  MMDB_RETURN_IF_ERROR(RestartApplySite(item.pid, t));
+  for (const LogRecord& rec : records) {
+    MMDB_RETURN_IF_ERROR(ApplyLogRecord(rec, part.get()));
+  }
+  *out = std::move(part);
+  *io_done_ns = t;
+  *records_applied = records.size();
+  *pages_read = pages;
+  return Status::OK();
+}
+
+Status Database::InstallRestored(std::unique_ptr<Partition> part) {
+  const PartitionId pid = part->id();
+  Status st = v_->pm.InstallRecovered(std::move(part));
+  NoteSpaceFreed();
+  MMDB_RETURN_IF_ERROR(st);
+  // Catalog partitions recover before the catalog exists; their
+  // descriptors live in the stable root instead.
+  auto d = v_->catalog.FindDescriptor(pid);
+  if (d.ok()) d.value()->resident = true;
+  return Status::OK();
+}
+
 Status Database::RecoverPartitionsParallel(
     const std::vector<RecoveryWorkItem>& work, RestartReport* report) {
   if (work.empty()) return Status::OK();
 
-  // Partitioned-log mode: the per-partition log chain lives on N streams
-  // that already read in parallel on their own duplexed pairs inside
-  // CollectMergedRecords, so each partition takes the serial path (whose
-  // multi-stream branch overlaps the image read with the stream reads).
-  // The single-stream pipelined scheduler below stays byte-identical for
-  // log_streams == 1.
-  if (!extra_streams_.empty()) {
+  // Strictly serial policy: each partition's reads, then its apply on the
+  // main CPU, one partition after another. It is the lanes=1
+  // non-pipelined ablation baseline, and every restore in partitioned-log
+  // mode, whose log chain already reads in parallel on the N streams'
+  // own duplexed pairs (overlapping the image read inside the rebuild).
+  if (!extra_streams_.empty() ||
+      (!opts_.pipelined_recovery && opts_.recovery_parallelism <= 1)) {
     for (const RecoveryWorkItem& w : work) {
-      MMDB_RETURN_IF_ERROR(RecoverPartitionSerial(w.pid, w.ckpt_page, report));
-    }
-    return Status::OK();
-  }
-
-  // Ablation baseline: one lane, no pipelining — the strictly serial
-  // legacy chain, byte- and timing-identical to the pre-scheduler path.
-  if (!opts_.pipelined_recovery && opts_.recovery_parallelism <= 1) {
-    for (const RecoveryWorkItem& w : work) {
-      MMDB_RETURN_IF_ERROR(RecoverPartitionSerial(w.pid, w.ckpt_page, report));
+      std::unique_ptr<Partition> part;
+      uint64_t io_done = 0, records = 0, pages = 0;
+      MMDB_RETURN_IF_ERROR(RebuildPartition(w, clock_.now_ns(), &part,
+                                            &io_done, &records, &pages));
+      for (uint64_t i = 0; i < records; ++i) {
+        main_cpu_.Execute(opts_.apply_instructions_per_record);
+      }
+      report->records_applied += records;
+      report->log_pages_read += pages;
+      clock_.AdvanceTo(io_done);
+      main_cpu_.IdleUntil(clock_.now_ns());
+      MMDB_RETURN_IF_ERROR(InstallRestored(std::move(part)));
+      ++report->partitions_recovered;
     }
     return Status::OK();
   }
 
   const uint64_t t0 = clock_.now_ns();
-  const uint32_t pages_per_slot =
-      opts_.partition_size_bytes / opts_.log_page_bytes;
   const double apply_ns_per_record =
       opts_.apply_instructions_per_record * main_cpu_.ns_per_instruction();
   const size_t lanes = std::min<size_t>(
@@ -106,45 +239,16 @@ Status Database::RecoverPartitionsParallel(
     // checkpoint disk sees lanes' requests in ready-time order; its
     // completion time is known immediately and everything downstream
     // that touches partition memory is gated on it.
+    Status st = LoadPartitionImage(item, task->bin_index, now, &task->part,
+                                   &task->image_done_ns);
+    if (!st.ok()) {
+      sched.Fail(st);
+      return;
+    }
     if (item.ckpt_page != kNoCheckpointPage) {
-      std::vector<uint8_t> image;
-      image.reserve(opts_.partition_size_bytes);
-      uint64_t done = 0;
-      uint64_t t = now;
-      Status st;
-      for (uint32_t attempt = 0;; ++attempt) {
-        st = checkpoint_disk_->ReadTrackInto(item.ckpt_page, pages_per_slot,
-                                             t, sim::SeekClass::kRandom,
-                                             &image, &done);
-        if (st.ok() || !st.IsIOError() ||
-            attempt + 1 >= sim::kReadRetryAttempts) {
-          break;
-        }
-        t += (attempt + 1) * sim::kReadRetryBackoffNs;
-        m_disk_retries_->Add(1);
-      }
-      if (!st.ok()) {
-        sched.Fail(st);
-        return;
-      }
-      task->image_done_ns = done;
-      auto from = Partition::FromImage(std::move(image));
-      if (!from.ok()) {
-        sched.Fail(from.status());
-        return;
-      }
-      task->part = std::move(from).value();
-      if (!(task->part->id() == item.pid)) {
-        sched.Fail(Status::Corruption("checkpoint image is for wrong "
-                                      "partition"));
-        return;
-      }
       tracer_.Span(obs::LaneTrack(static_cast<uint32_t>(lane)), "recovery",
-                   "image " + item.pid.ToString(), now, done - now);
-    } else {
-      task->image_done_ns = now;
-      task->part = std::make_unique<Partition>(
-          item.pid, opts_.partition_size_bytes, task->bin_index);
+                   "image " + item.pid.ToString(), now,
+                   task->image_done_ns - now);
     }
 
     // Backward anchor walk (§2.5.1): overlaps the image transfer when
@@ -250,19 +354,10 @@ Status Database::RecoverPartitionsParallel(
       return;
     }
 
-    if (fault_->armed()) {
-      // restart.apply site: a crash here is a crash-within-restart — the
-      // half-built partition is volatile and simply rebuilt next time.
-      fault::SiteEvent ev;
-      ev.site = fault::Site::kRestartApply;
-      ev.device = "recovery";
-      ev.page_no = task->pid.Pack();
-      ev.now_ns = now;
-      Status hs = fault_->OnSite(&ev);
-      if (!hs.ok()) {
-        sched.Fail(hs);
-        return;
-      }
+    st = RestartApplySite(task->pid, now);
+    if (!st.ok()) {
+      sched.Fail(st);
+      return;
     }
 
     // Apply chain: a record is applicable once the chunk holding its last
@@ -318,16 +413,11 @@ Status Database::RecoverPartitionsParallel(
     uint64_t finish = std::max({apply_done, last_read_done,
                                 task->image_done_ns});
     sched.At(finish, [&, lane, task](uint64_t t) {
-      Status ist = v_->pm.InstallRecovered(std::move(task->part));
-      NoteSpaceFreed();
+      Status ist = InstallRestored(std::move(task->part));
       if (!ist.ok()) {
         sched.Fail(ist);
         return;
       }
-      // Catalog partitions recover before the catalog exists; their
-      // descriptors live in the stable root instead.
-      auto d = v_->catalog.FindDescriptor(task->pid);
-      if (d.ok()) d.value()->resident = true;
       ++report->partitions_recovered;
       tracer_.Span(obs::LaneTrack(static_cast<uint32_t>(lane)), "recovery",
                    "recover " + task->pid.ToString(), task->start_ns,

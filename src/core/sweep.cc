@@ -1,21 +1,24 @@
 // Heat-ordered, interleavable background recovery sweep (paper §2.5).
 //
-// The legacy background sweep walked the catalog in declaration order.
-// Here the sweep queue is ordered by access heat: every resident
-// partition reference bumps a per-partition counter, Crash() harvests the
-// counts, and the post-crash sweep restores the hottest partitions first
-// — under a Zipf workload the partitions transactions are about to fault
-// on anyway. The queue is shared between BackgroundRecoveryStep (explicit
-// stepping) and the concurrent executor's interleaved sweep lanes
+// The sweep queue holds every non-resident partition. Under kOnDemand it
+// is ordered by access heat: every resident partition reference bumps a
+// per-partition counter, Crash() harvests the counts, and the post-crash
+// sweep restores the hottest partitions first — under a Zipf workload the
+// partitions transactions are about to fault on anyway. Under kFullReload
+// it keeps catalog order: a full reload restores everything anyway, and
+// its restart timings are baselined on the catalog scan's seek pattern.
+// The queue is shared between BackgroundRecoveryStep (explicit stepping)
+// and the concurrent executor's interleaved sweep lanes
 // (src/txn/executor.cc), so the two never double-recover a partition.
 //
-// SweepRecoverPartition / InstallSweepPartition split the serial recovery
-// chain (core/database.cc RecoverPartitionSerial) into a time-functional
-// rebuild and a separate install, so the rebuild can run as events on the
-// unified scheduler between transaction operations: the rebuild never
-// touches the global clock or the partition manager, and the install —
-// which does mutate shared state — happens at a well-defined virtual
-// instant on the event loop.
+// SweepRecoverPartition / InstallSweepPartition split a sweep restore
+// into the time-functional rebuild (RebuildPartition, core/
+// parallel_recovery.cc) with the apply charged to a sweep lane, and a
+// separate install, so the rebuild can run as events on the unified
+// scheduler between transaction operations: the rebuild never touches the
+// global clock or the partition manager, and the install — which does
+// mutate shared state — happens at a well-defined virtual instant on the
+// event loop.
 
 #include <algorithm>
 #include <memory>
@@ -59,11 +62,14 @@ void Database::EnsureSweepQueue() {
       if (idx.ok()) add_chain(idx.value()->partitions);
     }
   }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) {
-                     if (a.heat != b.heat) return a.heat > b.heat;
-                     return a.pack < b.pack;
-                   });
+  // kFullReload keeps the catalog order the entries were built in.
+  if (opts_.restart_policy != RestartPolicy::kFullReload) {
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const Entry& a, const Entry& b) {
+                       if (a.heat != b.heat) return a.heat > b.heat;
+                       return a.pack < b.pack;
+                     });
+  }
   bg_queue_.reserve(entries.size());
   for (Entry& e : entries) bg_queue_.push_back(e.item);
 }
@@ -89,103 +95,19 @@ Status Database::SweepRecoverPartition(const RecoveryWorkItem& item,
                                        uint64_t* done_ns,
                                        std::unique_ptr<Partition>* out,
                                        uint64_t* records_applied) {
-  uint64_t t = ready_ns;
-  const uint64_t t_entry = t;
-  *records_applied = 0;
-  auto bin_idx = slt_->FindBin(item.pid);
-  if (!bin_idx.ok()) {
-    return Status::Corruption("no Stable Log Tail bin for " +
-                              item.pid.ToString());
-  }
-
-  std::unique_ptr<Partition> part;
-  if (item.ckpt_page != kNoCheckpointPage) {
-    uint32_t pages_per_slot =
-        opts_.partition_size_bytes / opts_.log_page_bytes;
-    std::vector<uint8_t> image;
-    image.reserve(opts_.partition_size_bytes);
-    uint64_t done = 0;
-    Status rd;
-    for (uint32_t attempt = 0;; ++attempt) {
-      rd = checkpoint_disk_->ReadTrackInto(item.ckpt_page, pages_per_slot, t,
-                                           sim::SeekClass::kRandom, &image,
-                                           &done);
-      if (rd.ok() || !rd.IsIOError() ||
-          attempt + 1 >= sim::kReadRetryAttempts) {
-        break;
-      }
-      t += (attempt + 1) * sim::kReadRetryBackoffNs;
-      m_disk_retries_->Add(1);
-    }
-    MMDB_RETURN_IF_ERROR(rd);
-    t = done;
-    auto from = Partition::FromImage(std::move(image));
-    if (!from.ok()) return from.status();
-    part = std::move(from).value();
-    if (!(part->id() == item.pid)) {
-      return Status::Corruption("checkpoint image is for wrong partition");
-    }
-  } else {
-    part = std::make_unique<Partition>(item.pid, opts_.partition_size_bytes,
-                                       bin_idx.value());
-  }
-
-  std::vector<LogRecord> records;
-  if (extra_streams_.empty()) {
-    std::vector<uint64_t> lsns;
-    uint64_t backward = 0, done = t;
-    MMDB_RETURN_IF_ERROR(recovery_->CollectPageList(bin_idx.value(), t, &lsns,
-                                                    &backward, &done));
-    t = done;
-    std::vector<uint8_t> stream;
-    for (uint64_t lsn : lsns) {
-      ParsedLogPage page;
-      MMDB_RETURN_IF_ERROR(
-          log_writer_->ReadPage(lsn, t, sim::SeekClass::kNear, &page, &done));
-      t = done;
-      stream.insert(stream.end(), page.payload.begin(), page.payload.end());
-    }
-    auto bin = slt_->bin(bin_idx.value());
-    if (bin.ok() && !bin.value()->active_page.empty()) {
-      meter_->ChargeRead(bin.value()->active_page.size());
-      stream.insert(stream.end(), bin.value()->active_page.begin(),
-                    bin.value()->active_page.end());
-    }
-    MMDB_RETURN_IF_ERROR(ParseLogStream(stream, &records));
-  } else {
-    uint64_t pages = 0, merged_done = t_entry;
-    MMDB_RETURN_IF_ERROR(CollectMergedRecords(bin_idx.value(), t_entry,
-                                              &records, &pages, &merged_done));
-    t = std::max(t, merged_done);
-  }
-
-  if (fault_->armed()) {
-    // Same restart.apply site as the restart paths: a crash here loses
-    // only the half-built volatile copy.
-    fault::SiteEvent ev;
-    ev.site = fault::Site::kRestartApply;
-    ev.device = "recovery";
-    ev.page_no = item.pid.Pack();
-    ev.now_ns = t;
-    MMDB_RETURN_IF_ERROR(fault_->OnSite(&ev));
-  }
-
-  for (const LogRecord& rec : records) {
-    MMDB_RETURN_IF_ERROR(ApplyLogRecord(rec, part.get()));
-  }
-  uint64_t apply_done = t;
-  if (!records.empty()) {
+  uint64_t io_done = 0, pages = 0;
+  MMDB_RETURN_IF_ERROR(
+      RebuildPartition(item, ready_ns, out, &io_done, records_applied, &pages));
+  // The apply occupies the sweep lane once the reads are done.
+  *done_ns = io_done;
+  if (*records_applied > 0) {
     const double apply_ns_per_record =
         opts_.apply_instructions_per_record * main_cpu_.ns_per_instruction();
-    apply_done = lane->Occupy(
-        t, static_cast<uint64_t>(static_cast<double>(records.size()) *
-                                 apply_ns_per_record));
-    main_cpu_.AccountInstructions(static_cast<double>(records.size()) *
-                                  opts_.apply_instructions_per_record);
+    const double n = static_cast<double>(*records_applied);
+    *done_ns = lane->Occupy(io_done,
+                            static_cast<uint64_t>(n * apply_ns_per_record));
+    main_cpu_.AccountInstructions(n * opts_.apply_instructions_per_record);
   }
-  *records_applied = records.size();
-  *done_ns = std::max(t, apply_done);
-  *out = std::move(part);
   return Status::OK();
 }
 

@@ -114,13 +114,19 @@ struct SweepRig {
   std::unique_ptr<Database> db;
   std::vector<EntityAddr> addrs;
 
-  Status Setup(uint32_t workers) {
+  static DatabaseOptions Options(uint32_t workers) {
     DatabaseOptions o;
     o.partition_size_bytes = 4096;
     o.log_page_bytes = 1024;
     o.txn_workers = workers;
     o.restart_policy = RestartPolicy::kOnDemand;
     o.recovery_parallelism = 2;
+    return o;
+  }
+
+  Status Setup(uint32_t workers) { return Setup(Options(workers)); }
+
+  Status Setup(const DatabaseOptions& o) {
     db = std::make_unique<Database>(o);
     Schema schema({{"id", ColumnType::kInt64}, {"v", ColumnType::kInt64}});
     MMDB_RETURN_IF_ERROR(db->CreateRelation("r", schema));
@@ -267,6 +273,49 @@ TEST(EventLoopTest, SweepQueueIsHeatOrdered) {
   // The hot row's partition is nowhere near the catalog scan's start, so
   // catalog order would not put it first — heat order must.
   EXPECT_EQ(first.pid, rig.addrs[hot_row].partition);
+}
+
+/// kFullReload restores in catalog order even when the heat harvest
+/// would put a late partition first: the one-lane restart's "recover"
+/// spans come out in the order the relation's partitions were created.
+TEST(EventLoopTest, FullReloadSweepKeepsCatalogOrder) {
+  DatabaseOptions o = SweepRig::Options(1);
+  o.restart_policy = RestartPolicy::kFullReload;
+  o.recovery_parallelism = 1;
+  o.enable_tracing = true;
+  SweepRig rig;
+  ASSERT_OK(rig.Setup(o));
+  const int64_t hot_row = SweepRig::kRows - 1;
+  auto t = rig.db->Begin();
+  ASSERT_OK(t.status());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_OK(rig.db->Read(t.value(), "r", rig.addrs[hot_row]).status());
+  }
+  ASSERT_OK(rig.db->Commit(t.value()));
+  rig.db->Crash();
+  rig.db->tracer().Clear();
+  ASSERT_OK(rig.db->Restart());
+
+  std::vector<PartitionId> catalog_order;
+  for (const EntityAddr& a : rig.addrs) {
+    if (catalog_order.empty() || !(catalog_order.back() == a.partition)) {
+      catalog_order.push_back(a.partition);
+    }
+  }
+  ASSERT_GT(catalog_order.size(), 2u);
+  std::vector<PartitionId> restored;
+  const std::string trace = rig.db->tracer().ToJson();
+  const std::string key = "\"name\":\"recover ";
+  for (size_t at = trace.find(key); at != std::string::npos;
+       at = trace.find(key, at + 1)) {
+    const size_t from = at + key.size();
+    const std::string name = trace.substr(from, trace.find('"', from) - from);
+    for (const PartitionId& pid : catalog_order) {
+      if (pid.ToString() == name) restored.push_back(pid);
+    }
+  }
+  EXPECT_EQ(restored, catalog_order);
+  EXPECT_FALSE(restored.front() == rig.addrs[hot_row].partition);
 }
 
 /// Explicit BackgroundRecoveryStep still drains everything under the

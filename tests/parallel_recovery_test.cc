@@ -1,14 +1,19 @@
 // Parallel (multi-lane, pipelined) recovery: determinism across lane
 // counts, on-demand recovery racing the background sweep, DDL
-// invalidating the sweep cursor, and crash-again-during-recovery.
+// invalidating the sweep queue, crash-again-during-recovery, and the
+// pinned virtual times of every partition-rebuild timing policy.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/database.h"
 #include "test_util.h"
+#include "txn/executor.h"
 #include "util/random.h"
 
 namespace mmdb {
@@ -39,9 +44,14 @@ constexpr int kRowsPerRelation = 150;
 
 std::string Rel(int r) { return "rel" + std::to_string(r); }
 
+/// Every row of each relation, with its address (addresses survive a
+/// crash, so rows taken before one can be updated after it).
+using RowMap = std::vector<std::vector<std::pair<EntityAddr, Tuple>>>;
+
 /// Deterministic workload: populate several relations, checkpoint, then
 /// apply post-checkpoint updates (so recovery must replay log), crash.
-void BuildAndCrash(Database* db) {
+/// `rows`, if given, receives the rows as checkpointed.
+void BuildAndCrash(Database* db, RowMap* rows = nullptr) {
   for (int r = 0; r < kRelations; ++r) {
     ASSERT_OK(db->CreateRelation(Rel(r), AccountSchema()));
     auto t = db->Begin();
@@ -57,10 +67,11 @@ void BuildAndCrash(Database* db) {
   for (int r = 0; r < kRelations; ++r) {
     auto t = db->Begin();
     ASSERT_OK(t.status());
-    auto rows = db->Scan(t.value(), Rel(r));
-    ASSERT_OK(rows.status());
+    auto rows_r = db->Scan(t.value(), Rel(r));
+    ASSERT_OK(rows_r.status());
+    if (rows != nullptr) rows->push_back(rows_r.value());
     for (int k = 0; k < 25; ++k) {
-      auto& [a, tuple] = rows.value()[rng.Uniform(rows.value().size())];
+      auto& [a, tuple] = rows_r.value()[rng.Uniform(rows_r.value().size())];
       Tuple t2 = tuple;
       t2[1] = std::get<int64_t>(t2[1]) + 3;
       ASSERT_OK(db->Update(t.value(), Rel(r), a, t2));
@@ -201,9 +212,9 @@ TEST(ParallelRecoveryTest, DdlMidSweepInvalidatesCursor) {
   bool done = false;
   ASSERT_OK(db.BackgroundRecoveryStep(&done));
   ASSERT_FALSE(done);
-  // DDL between sweep steps: the resume cursor's ordinals no longer mean
-  // the same thing, so the sweep must restart its scan — and still
-  // terminate with everything resident.
+  // DDL between sweep steps invalidates the sweep queue, so the sweep
+  // must rebuild it from the new catalog — and still terminate with
+  // everything resident.
   ASSERT_OK(db.CreateRelation("fresh", AccountSchema()));
   auto t = db.Begin();
   ASSERT_OK(t.status());
@@ -268,6 +279,108 @@ TEST(ParallelRecoveryTest, RecoverRelationUsesLanes) {
   ASSERT_OK_AND_ASSIGN(auto hits, db.IndexLookup(t2.value(), "by_id", 200));
   EXPECT_EQ(hits.size(), 1u);
   ASSERT_OK(db.Commit(t2.value()));
+}
+
+// --- golden virtual times ----------------------------------------------------
+//
+// Every caller of the partition rebuild keeps its own timing policy: the
+// serial chain charges the apply to the main CPU after the reads, the
+// multi-stream restart gates it on the slowest stream, the interleaved
+// sweep charges a recovery lane, and an on-demand fault runs the lane
+// scheduler. These values pin each policy's virtual time on a fixed
+// workload; any drift in how a rebuild charges devices or CPUs moves them.
+
+/// Balance bumps over the first `relations` relations, `count` scripts of
+/// three updates. Run by the executor they spread over its workers, so
+/// with log_streams > 1 every stream carries part of each relation's log.
+std::vector<TxnScript> BumpScripts(const RowMap& rows, int count,
+                                   int relations = kRelations) {
+  std::vector<TxnScript> scripts;
+  for (int s = 0; s < count; ++s) {
+    TxnScript ts;
+    ts.label = "bump-" + std::to_string(s);
+    for (int j = 0; j < 3; ++j) {
+      const int r = (s + j) % relations;
+      const auto& row = rows[r][(s * 7 + j * 13) % rows[r].size()];
+      const EntityAddr addr = row.first;
+      Tuple bumped = row.second;
+      bumped[1] = std::get<int64_t>(bumped[1]) + 3;
+      ts.ops.push_back(
+          [r, addr, bumped](Database& d, Transaction* t) -> Status {
+            return d.Update(t, Rel(r), addr, bumped);
+          });
+    }
+    scripts.push_back(std::move(ts));
+  }
+  return scripts;
+}
+
+uint64_t RestartNs(const Database& db) {
+  return static_cast<uint64_t>(std::llround(db.last_restart().total_ms * 1e6));
+}
+
+TEST(ParallelRecoveryTest, GoldenSerialAblationRestart) {
+  DatabaseOptions o = LaneOptions(1, /*pipelined=*/false);
+  o.restart_policy = RestartPolicy::kFullReload;
+  Database db(o);
+  BuildAndCrash(&db);
+  ASSERT_OK(db.Restart());
+  EXPECT_EQ(RestartNs(db), 65000000u);
+  EXPECT_EQ(db.last_restart().records_applied, 109u);
+}
+
+TEST(ParallelRecoveryTest, GoldenMultiStreamRestart) {
+  DatabaseOptions o = LaneOptions(1);
+  o.restart_policy = RestartPolicy::kFullReload;
+  o.log_streams = 4;
+  o.txn_workers = 4;
+  Database db(o);
+  RowMap rows;
+  BuildAndCrash(&db, &rows);
+  ASSERT_OK(db.Restart());
+  ConcurrentExecutor ex(&db);
+  for (TxnScript& s : BumpScripts(rows, 16)) ex.Submit(std::move(s));
+  ASSERT_OK(ex.Run());
+  db.Crash();
+  ASSERT_OK(db.Restart());
+  EXPECT_EQ(RestartNs(db), 54900000u);
+  EXPECT_EQ(db.last_restart().records_applied, 157u);
+}
+
+TEST(ParallelRecoveryTest, GoldenInterleavedSweep) {
+  DatabaseOptions o = LaneOptions(2);
+  o.txn_workers = 2;
+  Database db(o);  // kOnDemand
+  RowMap rows;
+  BuildAndCrash(&db, &rows);
+  ASSERT_OK(db.Restart());
+  ConcurrentExecutor::Options eo;
+  eo.background_sweep = true;
+  ConcurrentExecutor ex(&db, eo);
+  // Only Rel(0) faults in on demand; the sweep restores the rest.
+  for (TxnScript& s : BumpScripts(rows, 8, /*relations=*/1)) {
+    ex.Submit(std::move(s));
+  }
+  ASSERT_OK(ex.Run());
+  EXPECT_TRUE(db.FullyResident());
+  EXPECT_EQ(ex.sweep_recovered(), 3u);
+  EXPECT_EQ(ex.last_sweep_install_ns(), 133593338u);
+}
+
+TEST(ParallelRecoveryTest, GoldenOnDemandFault) {
+  Database db(LaneOptions(1));  // kOnDemand
+  RowMap rows;
+  BuildAndCrash(&db, &rows);
+  ASSERT_OK(db.Restart());
+  auto t = db.Begin();
+  ASSERT_OK(t.status());
+  ASSERT_OK(db.Read(t.value(), Rel(2), rows[2][100].first).status());
+  ASSERT_OK(db.Commit(t.value()));
+  const obs::Histogram* h =
+      db.metrics().find_histogram("recovery.on_demand_ns");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), 1u);
+  EXPECT_EQ(static_cast<uint64_t>(h->sum()), 10308333u);
 }
 
 }  // namespace

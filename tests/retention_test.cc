@@ -148,6 +148,61 @@ TEST(RetentionTest, CheckpointDiskHoldsExactlyTheLiveImages) {
   ExpectOnlyLiveImages(db);
 }
 
+TEST(RetentionTest, DroppedObjectsReleaseTheirImages) {
+  Database db(SmallOptions());
+  ASSERT_OK(db.CreateRelation("r", S()));
+  ASSERT_OK(db.CreateRelation("s", S()));
+  ASSERT_OK(db.CreateIndex("s_id", "s", "id", IndexType::kTTree));
+  ASSERT_OK(db.CreateIndex("r_id", "r", "id", IndexType::kLinearHash));
+  std::map<int64_t, EntityAddr> r_addrs, s_addrs;
+  ASSERT_OK(Fill(&db, "r", 0, 1000, &r_addrs));
+  ASSERT_OK(Fill(&db, "s", 0, 1000, &s_addrs));
+  ASSERT_OK(db.CheckpointEverything());
+  ExpectOnlyLiveImages(db);
+  const size_t all_images = db.checkpoint_disk().StoredPageNumbers().size();
+
+  // Dropping an index, then a relation (and with it its index), leaves
+  // the checkpoint disk holding exactly the live images.
+  ASSERT_OK(db.DropIndex("s_id"));
+  ExpectOnlyLiveImages(db);
+  ASSERT_OK(db.DropRelation("r"));
+  ExpectOnlyLiveImages(db);
+  EXPECT_LT(db.checkpoint_disk().StoredPageNumbers().size(), all_images);
+
+  std::map<int64_t, int64_t> before = Rows(&db, "s");
+  db.Crash();
+  ASSERT_OK(db.Restart());
+  EXPECT_EQ(Rows(&db, "s"), before);
+  ExpectOnlyLiveImages(db);
+}
+
+// The disk-force and group-commit baselines write WAL pages only for their
+// device time. Nothing reads them, so the log disks keep none: the stored
+// log pages stay those from the tail, fewer than the forces however many
+// commits forced.
+TEST(RetentionTest, ForcedCommitsLeaveNoWalPagesBehind) {
+  for (CommitMode mode : {CommitMode::kDiskForce, CommitMode::kGroupCommit}) {
+    SCOPED_TRACE("commit mode " + std::to_string(static_cast<int>(mode)));
+    DatabaseOptions o = SmallOptions();
+    o.commit_mode = mode;
+    o.group_commit_txns = 4;
+    Database db(o);
+    ASSERT_OK(db.CreateRelation("r", S()));
+    std::map<int64_t, EntityAddr> addrs;
+    ASSERT_OK(Fill(&db, "r", 0, 50, &addrs));
+    for (int commits : {20, 200}) {
+      SCOPED_TRACE(std::to_string(commits) + " commits");
+      for (int i = 0; i < commits; ++i) {
+        ASSERT_OK(UpdateRows(&db, "r", addrs, i % 50, 50, i));
+      }
+      ASSERT_OK(db.CheckpointEverything());
+      ExpectLogRetention(db);
+      EXPECT_LT(db.log_disks().member(0).StoredPageNumbers().size(),
+                db.GetStats().log_forces);
+    }
+  }
+}
+
 TEST(RetentionTest, RolledBackCheckpointKeepsOldImageAndRestartUsesIt) {
   DatabaseOptions o = SmallOptions();
   o.n_update = 1ull << 30;  // checkpoints only where the test asks
