@@ -12,7 +12,8 @@
 // page volume grows with database size, which is exactly the axis a
 // 100x experiment scales along). The unified loop replaces the scan with
 // O(log workers) heap maintenance, runs the heat-ordered sweep as events
-// on the same heap, and folds checksums sixteen bytes per step.
+// on the same heap, and checksums with Crc32 (a carry-less-multiply
+// folding kernel where the CPU has one, slicing-by-16 tables elsewhere).
 //
 // The experiment: populate one relation at GB-scale storage geometry
 // (1 GiB stable memory, 32768 checkpoint-disk slots), checkpoint, then
@@ -27,9 +28,10 @@
 //     alternation).
 //   phase U (unified) — crash again, restart, run the same scripts on
 //     the unified event loop with the background sweep interleaved
-//     (background_sweep=true) and the slicing-by-16 checksum. Phase U
-//     runs second, so its recovery replays phase L's update log on top —
-//     that bias runs *against* the unified loop.
+//     (background_sweep=true) and the Crc32 checksum (the folding
+//     kernel or slicing-by-16, as dispatched). Phase U runs second, so
+//     its recovery replays phase L's update log on top — that bias runs
+//     *against* the unified loop.
 //
 // Both checksum implementations produce identical values, so the two
 // phases' virtual trajectories stay byte-comparable; only host cost

@@ -7,13 +7,16 @@
 namespace mmdb {
 
 /// CRC-32 (IEEE 802.3 polynomial) over `n` bytes starting at `data`,
-/// seeded with `seed` so checksums can be chained across buffers.
-/// Used to validate checkpoint images and log pages read back from the
-/// simulated disks.
+/// seeded with `seed` so checksums can be chained across buffers:
+/// Crc32(b, n) == Crc32(b + k, n - k, Crc32(b, k)). Used to validate
+/// checkpoint images and log pages read back from the simulated disks.
+/// On x86-64 CPUs with PCLMULQDQ a carry-less-multiply folding kernel
+/// takes the bulk of buffers of 64 bytes and up; everywhere else, and for
+/// the tail, slicing-by-16 tables. Both give the same value.
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
 /// Byte-at-a-time reference implementation — the simulator's checksum
-/// hot path before the slicing-by-8 rewrite. Bit-identical to Crc32();
+/// hot path before the table-slicing rewrite. Bit-identical to Crc32();
 /// kept for equivalence testing and as the pre-unification baseline in
 /// bench_sim_scale's A/B phases.
 uint32_t Crc32Reference(const void* data, size_t n, uint32_t seed = 0);

@@ -14,6 +14,15 @@ std::vector<std::vector<uint8_t>> Track(uint8_t seed) {
   return pages;
 }
 
+// The six pages of Track(seed) end to end, as ReadTrackInto returns them.
+std::vector<uint8_t> TrackBytes(uint8_t seed) {
+  std::vector<uint8_t> bytes;
+  for (auto& page : Track(seed)) {
+    bytes.insert(bytes.end(), page.begin(), page.end());
+  }
+  return bytes;
+}
+
 std::vector<sim::PageRef> TrackRefs(uint8_t seed) {
   std::vector<sim::PageRef> refs;
   for (auto& page : Track(seed)) refs.push_back(sim::MakePage(page));
@@ -36,11 +45,14 @@ TEST(ArchiveManagerTest, KeepsLatestImagePerPartition) {
   ASSERT_OK(am.RecoverCheckpointDisk(&disk, 0, &done));
   EXPECT_GT(done, 0u);
   // The latest copy of {1,0} landed at its recorded location.
-  std::vector<std::vector<uint8_t>> out;
-  ASSERT_OK(disk.ReadTrack(60, 6, done, sim::SeekClass::kRandom, &out, &done));
-  EXPECT_EQ(out, Track(2));
-  ASSERT_OK(disk.ReadTrack(12, 6, done, sim::SeekClass::kRandom, &out, &done));
-  EXPECT_EQ(out, Track(3));
+  std::vector<uint8_t> out;
+  ASSERT_OK(
+      disk.ReadTrackInto(60, 6, done, sim::SeekClass::kRandom, &out, &done));
+  EXPECT_EQ(out, TrackBytes(2));
+  out.clear();
+  ASSERT_OK(
+      disk.ReadTrackInto(12, 6, done, sim::SeekClass::kRandom, &out, &done));
+  EXPECT_EQ(out, TrackBytes(3));
 }
 
 TEST(ArchiveManagerTest, RefusesRestoreOntoFailedMedia) {

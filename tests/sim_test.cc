@@ -192,17 +192,18 @@ TEST(DuplexedDiskTest, DiscardDropsPagesOnBothMembers) {
 
 TEST(DiskTest, ReadTrackReturnsAllPages) {
   Disk d("d", DiskParams{});
-  std::vector<std::vector<uint8_t>> pages;
+  std::vector<uint8_t> bytes;
   std::vector<PageRef> refs;
   for (int i = 0; i < 6; ++i) {
-    pages.push_back(testing::FilledBytes(128, i));
-    refs.push_back(MakePage(pages.back()));
+    std::vector<uint8_t> page = testing::FilledBytes(128, i);
+    bytes.insert(bytes.end(), page.begin(), page.end());
+    refs.push_back(MakePage(std::move(page)));
   }
   d.WriteTrack(10, refs, 0, SeekClass::kNear);
-  std::vector<std::vector<uint8_t>> out;
+  std::vector<uint8_t> out;
   uint64_t done;
-  ASSERT_OK(d.ReadTrack(10, 6, 0, SeekClass::kNear, &out, &done));
-  EXPECT_EQ(out, pages);
+  ASSERT_OK(d.ReadTrackInto(10, 6, 0, SeekClass::kNear, &out, &done));
+  EXPECT_EQ(out, bytes);
 }
 
 TEST(DuplexedDiskTest, WritesGoToBothMembers) {

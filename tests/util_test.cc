@@ -5,6 +5,7 @@
 
 #include "test_util.h"
 #include "util/crc32.h"
+#include "util/crc32_internal.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -70,14 +71,21 @@ TEST(Crc32Test, KnownVector) {
 TEST(Crc32Test, EmptyIsZero) { EXPECT_EQ(Crc32("", 0), 0u); }
 
 TEST(Crc32Test, SeedChaining) {
+  // Seeding with the CRC of a prefix continues the checksum, so a CRC
+  // chained over the parts equals the CRC of the whole buffer.
   const char* s = "hello world";
-  uint32_t whole = Crc32(s, 11);
-  uint32_t a = Crc32(s, 5);
-  // Chaining is seed-based continuation, not equal to concatenated CRC of
-  // parts with default seeds.
-  uint32_t chained = Crc32(s + 5, 6, a);
-  EXPECT_NE(chained, a);
-  EXPECT_NE(whole, 0u);
+  EXPECT_EQ(Crc32(s, 11), 0x0d4a1185u);
+  EXPECT_EQ(Crc32(s + 5, 6, Crc32(s, 5)), Crc32(s, 11));
+  // Splits at every offset up to 200 put the seam on both sides of the
+  // folding kernel's 16- and 64-byte block boundaries.
+  std::vector<uint8_t> buf = testing::FilledBytes(1024, 9);
+  uint32_t whole = Crc32(buf.data(), buf.size());
+  for (size_t split = 0; split <= 200; ++split) {
+    EXPECT_EQ(Crc32(buf.data() + split, buf.size() - split,
+                    Crc32(buf.data(), split)),
+              whole)
+        << "split " << split;
+  }
 }
 
 TEST(Crc32Test, DetectsBitFlip) {
@@ -87,28 +95,46 @@ TEST(Crc32Test, DetectsBitFlip) {
   EXPECT_NE(before, Crc32(data.data(), data.size()));
 }
 
-TEST(Crc32Test, SlicedMatchesReferenceAtAllLengths) {
-  // The word-folding fast path and the byte-serial reference must agree
-  // for every length (0, sub-word tails, word-aligned) and seed — disk
-  // checksums written by one implementation are verified by the other in
-  // the bench's pre/post-unification A/B phases.
-  Random rng(42);
-  std::vector<uint8_t> buf(4096);
+// Checks one CRC body against the byte-serial reference: every length
+// 0..1100 (short buffers, the kernel's 64-byte entry, 16-byte tails),
+// a log page and a checkpoint image, at every start offset 0..15, with
+// seed 0 and a random seed.
+void ExpectMatchesReference(uint32_t (*crc)(const void*, size_t, uint32_t)) {
+  Random rng(1987);
+  std::vector<uint8_t> buf(48 * 1024 + 16);
   for (auto& b : buf) b = static_cast<uint8_t>(rng.Uniform(256));
-  for (size_t n = 0; n <= 64; ++n) {
-    EXPECT_EQ(Crc32(buf.data(), n), Crc32Reference(buf.data(), n))
-        << "length " << n;
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 1100; ++n) lengths.push_back(n);
+  lengths.push_back(8 * 1024);
+  lengths.push_back(48 * 1024);
+  for (size_t off = 0; off < 16; ++off) {
+    for (size_t n : lengths) {
+      const uint8_t* p = buf.data() + off;
+      auto seed = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(crc(p, n, 0), Crc32Reference(p, n, 0))
+          << "length " << n << " offset " << off;
+      ASSERT_EQ(crc(p, n, seed), Crc32Reference(p, n, seed))
+          << "length " << n << " offset " << off << " seed " << seed;
+    }
   }
-  for (size_t n : {65u, 127u, 128u, 1000u, 4096u}) {
-    uint32_t seed = static_cast<uint32_t>(rng.Uniform(1u << 31));
-    EXPECT_EQ(Crc32(buf.data(), n, seed), Crc32Reference(buf.data(), n, seed))
-        << "length " << n;
+}
+
+TEST(Crc32Test, SlicedMatchesReferenceAtAllLengths) {
+  // Crc32() — whichever body it dispatches to — and the byte-serial
+  // reference must agree: disk checksums written by one are verified by
+  // the other in bench_sim_scale's pre/post-unification A/B phases.
+  ExpectMatchesReference(&Crc32);
+}
+
+TEST(Crc32Test, SlicingPathMatchesReference) {
+  ExpectMatchesReference(&crc32_internal::SlicingCrc32);
+}
+
+TEST(Crc32Test, ClmulKernelMatchesReference) {
+  if (!crc32_internal::HasClmulKernel()) {
+    GTEST_SKIP() << "no PCLMULQDQ/SSE4.1 kernel on this target or CPU";
   }
-  // Unaligned starts exercise the memcpy word loads.
-  for (size_t off : {1u, 3u, 7u}) {
-    EXPECT_EQ(Crc32(buf.data() + off, 256),
-              Crc32Reference(buf.data() + off, 256));
-  }
+  ExpectMatchesReference(&crc32_internal::ClmulCrc32);
 }
 
 TEST(Crc32Test, ReferenceToggleRoutesFastPath) {
