@@ -1,4 +1,4 @@
-// CRC-32 throughput: host bytes per second of the three checksum bodies
+// CRC-32 throughput: host bytes per second of the four checksum bodies
 // behind every simulated page transfer.
 //
 // Every page the simulated disks write or read back is checksummed
@@ -9,12 +9,17 @@
 //
 //   reference — Crc32Reference, byte-at-a-time (the equivalence oracle);
 //   slicing   — slicing-by-16 tables, the portable path;
-//   clmul     — the PCLMULQDQ folding kernel plus slicing tail, the
-//               path Crc32() takes on x86-64 CPUs with PCLMULQDQ and
-//               SSE4.1 (skipped elsewhere).
+//   clmul     — the 128-bit PCLMULQDQ folding kernel plus slicing tail,
+//               the path Crc32() takes on x86-64 CPUs with PCLMULQDQ and
+//               SSE4.1 but no VPCLMULQDQ/AVX-512 (skipped elsewhere);
+//   wide      — the 512-bit VPCLMULQDQ kernel (256 bytes per step) with
+//               the 128-bit kernel below 256 bytes, the path Crc32()
+//               takes on CPUs with VPCLMULQDQ, AVX512F/VL/BW (skipped
+//               elsewhere).
 //
-// Sizes: 64 B (the kernel's smallest input), 8 KiB (one log or
-// checkpoint page) and 48 KiB (one six-page checkpoint track).
+// Sizes: 64 B (the 128-bit kernel's smallest input; the wide body runs
+// the 128-bit kernel there), 8 KiB (one log or checkpoint page) and
+// 48 KiB (one six-page checkpoint track).
 //
 // Host rates are machine-local, so the report carries them in its
 // "host" section as info only: there is no baseline and no gate.
@@ -102,10 +107,12 @@ int main(int argc, char** argv) {
   using namespace mmdb::bench;
   ::benchmark::Initialize(&argc, argv);
   const bool kernel = mmdb::crc32_internal::HasClmulKernel();
+  const bool wide = mmdb::crc32_internal::HasWideClmulKernel();
   const Body bodies[] = {
       {"reference", &mmdb::Crc32Reference, true},
       {"slicing", &mmdb::crc32_internal::SlicingCrc32, true},
       {"clmul", &mmdb::crc32_internal::ClmulCrc32, kernel},
+      {"wide", &mmdb::crc32_internal::WideClmulCrc32, wide},
   };
   for (const Body& body : bodies) {
     for (const Size& size : kSizes) {
@@ -121,6 +128,7 @@ int main(int argc, char** argv) {
 
   mmdb::obs::JsonValue host;
   host["clmul_kernel"] = kernel;
+  host["wide_clmul_kernel"] = wide;
   std::printf("\n  %-10s %8s %12s\n", "body", "size", "1e9 B/s");
   for (const Body& body : bodies) {
     for (const Size& size : kSizes) {

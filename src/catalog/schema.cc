@@ -15,60 +15,6 @@ void PutString(std::vector<uint8_t>* out, const std::string& v) {
   out->insert(out->end(), v.begin(), v.end());
 }
 
-bool Reader::GetU8(uint8_t* v) {
-  if (remaining() < 1) return false;
-  *v = data_[pos_++];
-  return true;
-}
-
-bool Reader::GetU16(uint16_t* v) {
-  if (remaining() < 2) return false;
-  *v = static_cast<uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
-  pos_ += 2;
-  return true;
-}
-
-bool Reader::GetU32(uint32_t* v) {
-  if (remaining() < 4) return false;
-  uint32_t r = 0;
-  for (int i = 0; i < 4; ++i) r |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 4;
-  *v = r;
-  return true;
-}
-
-bool Reader::GetU64(uint64_t* v) {
-  if (remaining() < 8) return false;
-  uint64_t r = 0;
-  for (int i = 0; i < 8; ++i) r |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 8;
-  *v = r;
-  return true;
-}
-
-bool Reader::GetI64(int64_t* v) {
-  uint64_t u;
-  if (!GetU64(&u)) return false;
-  *v = static_cast<int64_t>(u);
-  return true;
-}
-
-bool Reader::GetBytes(size_t n, std::span<const uint8_t>* v) {
-  if (remaining() < n) return false;
-  *v = data_.subspan(pos_, n);
-  pos_ += n;
-  return true;
-}
-
-bool Reader::GetString(std::string* v) {
-  uint32_t len;
-  if (!GetU32(&len)) return false;
-  if (remaining() < len) return false;
-  v->assign(reinterpret_cast<const char*>(data_.data() + pos_), len);
-  pos_ += len;
-  return true;
-}
-
 }  // namespace wire
 
 Schema::Schema(std::vector<Column> columns) : columns_(std::move(columns)) {}

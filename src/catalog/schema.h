@@ -1,8 +1,10 @@
 #ifndef MMDB_CATALOG_SCHEMA_H_
 #define MMDB_CATALOG_SCHEMA_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <variant>
@@ -91,21 +93,66 @@ void PutBytes(std::vector<uint8_t>* out, std::span<const uint8_t> v);
 void PutString(std::vector<uint8_t>* out, const std::string& v);
 
 /// Cursor-style reader; every Get checks bounds and returns false on
-/// truncation so decoders can surface Corruption.
+/// truncation so decoders can surface Corruption. The getters are defined
+/// here so every decoder (log records, tuples, index nodes, the catalog)
+/// inlines them: each is one bounds check and one little-endian load.
 class Reader {
  public:
   explicit Reader(std::span<const uint8_t> data) : data_(data) {}
-  bool GetU8(uint8_t* v);
-  bool GetU16(uint16_t* v);
-  bool GetU32(uint32_t* v);
-  bool GetU64(uint64_t* v);
-  bool GetI64(int64_t* v);
-  bool GetBytes(size_t n, std::span<const uint8_t>* v);
-  bool GetString(std::string* v);
+  bool GetU8(uint8_t* v) {
+    if (remaining() < 1) return false;
+    *v = data_[pos_++];
+    return true;
+  }
+  bool GetU16(uint16_t* v) { return GetLE(v); }
+  bool GetU32(uint32_t* v) { return GetLE(v); }
+  bool GetU64(uint64_t* v) { return GetLE(v); }
+  bool GetI64(int64_t* v) {
+    uint64_t u;
+    if (!GetU64(&u)) return false;
+    *v = static_cast<int64_t>(u);
+    return true;
+  }
+  bool GetBytes(size_t n, std::span<const uint8_t>* v) {
+    if (remaining() < n) return false;
+    *v = data_.subspan(pos_, n);
+    pos_ += n;
+    return true;
+  }
+  bool GetString(std::string* v) {
+    uint32_t len;
+    if (!GetU32(&len)) return false;
+    if (remaining() < len) return false;
+    v->assign(reinterpret_cast<const char*>(data_.data() + pos_), len);
+    pos_ += len;
+    return true;
+  }
   size_t remaining() const { return data_.size() - pos_; }
   size_t pos() const { return pos_; }
+  /// The bytes consumed from offset `from` (<= pos()) up to the cursor.
+  std::span<const uint8_t> ConsumedSince(size_t from) const {
+    return data_.subspan(from, pos_ - from);
+  }
 
  private:
+  /// Loads an unsigned little-endian integer of sizeof(T) bytes.
+  template <typename T>
+  bool GetLE(T* v) {
+    if (remaining() < sizeof(T)) return false;
+    T r;
+    std::memcpy(&r, data_.data() + pos_, sizeof(T));
+    if constexpr (std::endian::native == std::endian::big) {
+      T le = 0;
+      for (size_t i = 0; i < sizeof(T); ++i) {
+        le = static_cast<T>((le << 8) | ((r >> (8 * i)) & 0xFF));
+      }
+      r = le;
+    }
+    pos_ += sizeof(T);
+    *v = r;
+    return true;
+  }
+
   std::span<const uint8_t> data_;
   size_t pos_ = 0;
 };

@@ -269,7 +269,7 @@ Status Database::RollbackOperation(Transaction* txn, const OpMark& mark) {
   for (const LogRecord& rec : undo) {
     auto pr = v_->pm.Get(rec.partition);
     if (!pr.ok()) return pr.status();
-    MMDB_RETURN_IF_ERROR(ApplyLogRecord(rec, pr.value()));
+    MMDB_RETURN_IF_ERROR(ApplyLogRecord(rec.View(), pr.value()));
     NoteSpaceFreed(pr.value());
     MainWork(opts_.apply_instructions_per_record);
   }
@@ -704,8 +704,10 @@ Result<Partition*> Database::ResidentPartition(PartitionId pid) {
   }
   obs::Track track = ctx != nullptr ? obs::WorkerTrack(ctx->worker)
                                     : obs::Track::kMainCpu;
-  tracer_.Span(track, "recovery", "on-demand " + pid.ToString(), start_ns,
-               clock_.now_ns() - start_ns);
+  if (tracer_.enabled()) {
+    tracer_.Span(track, "recovery", "on-demand " + pid.ToString(), start_ns,
+                 clock_.now_ns() - start_ns);
+  }
   auto rp = v_->pm.Get(pid);
   if (rp.ok()) rp.value()->Touch();
   return rp;
@@ -842,14 +844,17 @@ Status Database::WriteCatalogRootBlock() {
   return Status::OK();
 }
 
-Status Database::CollectMergedRecords(uint32_t bin_index, uint64_t now_ns,
-                                      std::vector<LogRecord>* records,
-                                      uint64_t* pages_read, uint64_t* done_ns) {
+Status Database::CollectMergedRecords(
+    uint32_t bin_index, uint64_t now_ns,
+    std::vector<std::vector<uint8_t>>* stream_bytes,
+    std::vector<LogRecordView>* records, uint64_t* pages_read,
+    uint64_t* done_ns) {
   records->clear();
   *pages_read = 0;
   *done_ns = now_ns;
   const uint32_t n = log_streams();
-  std::vector<std::vector<LogRecord>> per_stream(n);
+  stream_bytes->assign(n, {});
+  std::vector<std::vector<LogRecordView>> per_stream(n);
   for (uint32_t s = 0; s < n; ++s) {
     // Each stream's chain reads serially on its own duplexed pair, all
     // streams starting together at now_ns — the N pairs work in parallel
@@ -860,24 +865,23 @@ Status Database::CollectMergedRecords(uint32_t bin_index, uint64_t now_ns,
     MMDB_RETURN_IF_ERROR(
         recovery_at(s)->CollectPageList(bin_index, t, &lsns, &backward, &done));
     t = done;
-    std::vector<uint8_t> stream_bytes;
+    std::vector<uint8_t>& bytes = (*stream_bytes)[s];
     for (uint64_t lsn : lsns) {
       ParsedLogPage page;
       MMDB_RETURN_IF_ERROR(
           writer_at(s)->ReadPage(lsn, t, sim::SeekClass::kNear, &page, &done));
       t = done;
-      stream_bytes.insert(stream_bytes.end(), page.payload.begin(),
-                          page.payload.end());
+      bytes.insert(bytes.end(), page.payload.begin(), page.payload.end());
       ++*pages_read;
     }
     auto bin = slt_at(s)->bin(bin_index);
     if (bin.ok() && !bin.value()->active_page.empty()) {
       meter_->ChargeRead(bin.value()->active_page.size());
-      stream_bytes.insert(stream_bytes.end(), bin.value()->active_page.begin(),
-                          bin.value()->active_page.end());
+      bytes.insert(bytes.end(), bin.value()->active_page.begin(),
+                   bin.value()->active_page.end());
     }
     MMDB_RETURN_IF_ERROR(
-        ParseLogStream(stream_bytes, &per_stream[s], /*with_epoch=*/true));
+        ParseLogStream(bytes, &per_stream[s], /*with_epoch=*/true));
     if (t > *done_ns) *done_ns = t;
   }
 
@@ -897,15 +901,15 @@ Status Database::CollectMergedRecords(uint32_t bin_index, uint64_t now_ns,
         best = s;
         continue;
       }
-      const LogRecord& a = per_stream[s][cursor[s]];
-      const LogRecord& b = per_stream[best][cursor[best]];
+      const LogRecordView& a = per_stream[s][cursor[s]];
+      const LogRecordView& b = per_stream[best][cursor[best]];
       if (std::make_pair(a.epoch, a.csn) < std::make_pair(b.epoch, b.csn)) {
         best = s;
       }
     }
     MMDB_CHECK(best < n);
     main_cpu_.Execute(opts_.costs.i_record_lookup);
-    records->push_back(std::move(per_stream[best][cursor[best]]));
+    records->push_back(per_stream[best][cursor[best]]);
     ++cursor[best];
   }
   return Status::OK();
@@ -1266,9 +1270,9 @@ Status Database::Commit(Transaction* txn) {
                                         : obs::Track::kMainCpu;
     m_txn_latency_ns_->Record(static_cast<double>(vnow() - begin_ns));
     m_commit_series_->Add(vnow());
-    tracer_.Span(track, "txn", "txn " + std::to_string(id), begin_ns,
-                 vnow() - begin_ns);
     if (tracer_.enabled()) {
+      tracer_.Span(track, "txn", "txn " + std::to_string(id), begin_ns,
+                   vnow() - begin_ns);
       // Counter tracks: Perfetto renders these as stepped curves next to
       // the swimlanes. Sampled at commit points — the natural cadence of
       // the simulation's observable state.
@@ -1340,7 +1344,7 @@ Status Database::Abort(Transaction* txn) {
   for (const LogRecord& rec : undo) {
     auto pr = v_->pm.Get(rec.partition);
     if (!pr.ok()) return pr.status();
-    Status st = ApplyLogRecord(rec, pr.value());
+    Status st = ApplyLogRecord(rec.View(), pr.value());
     if (!st.ok()) {
       return Status::Corruption("UNDO failed: " + st.ToString());
     }
@@ -1362,8 +1366,10 @@ Status Database::Abort(Transaction* txn) {
     obs::Track track = exec_ != nullptr ? obs::WorkerTrack(exec_->worker)
                                         : obs::Track::kMainCpu;
     m_abort_series_->Add(vnow());
-    tracer_.Span(track, "txn", "txn " + std::to_string(id) + " (abort)",
-                 txn->begin_ns(), vnow() - txn->begin_ns());
+    if (tracer_.enabled()) {
+      tracer_.Span(track, "txn", "txn " + std::to_string(id) + " (abort)",
+                   txn->begin_ns(), vnow() - txn->begin_ns());
+    }
   }
   txn->set_state(TxnState::kAborted);
   v_->txns.NoteAbort();
@@ -1420,8 +1426,10 @@ Status Database::CommitReadOnly(Transaction* txn) {
                                         : obs::Track::kMainCpu;
     m_txn_latency_ns_->Record(static_cast<double>(vnow() - begin_ns));
     m_commit_series_->Add(vnow());
-    tracer_.Span(track, "txn", "txn " + std::to_string(id) + " (snapshot)",
-                 begin_ns, vnow() - begin_ns);
+    if (tracer_.enabled()) {
+      tracer_.Span(track, "txn", "txn " + std::to_string(id) + " (snapshot)",
+                   begin_ns, vnow() - begin_ns);
+    }
   }
   if (opts_.audit_logging && txn->kind() == TxnKind::kUser) {
     MMDB_RETURN_IF_ERROR(audit_->Append(
@@ -1437,19 +1445,23 @@ Status Database::CommitReadOnly(Transaction* txn) {
 
 Status Database::AbortReadOnly(Transaction* txn) {
   uint64_t id = txn->id();
-  if (txn->kind() == TxnKind::kUser) {
+  // Read before Finish() frees the transaction.
+  const bool user = txn->kind() == TxnKind::kUser;
+  if (user) {
     obs::Track track = exec_ != nullptr ? obs::WorkerTrack(exec_->worker)
                                         : obs::Track::kMainCpu;
     m_abort_series_->Add(vnow());
-    tracer_.Span(track, "txn", "txn " + std::to_string(id) + " (abort)",
-                 txn->begin_ns(), vnow() - txn->begin_ns());
+    if (tracer_.enabled()) {
+      tracer_.Span(track, "txn", "txn " + std::to_string(id) + " (abort)",
+                   txn->begin_ns(), vnow() - txn->begin_ns());
+    }
   }
   v_->versions.EndSnapshot(txn->snapshot_csn());
   v_->versions.Prune();
   txn->set_state(TxnState::kAborted);
   v_->txns.NoteAbort();
   v_->txns.Finish(id);
-  if (opts_.audit_logging && txn->kind() == TxnKind::kUser) {
+  if (opts_.audit_logging && user) {
     MMDB_RETURN_IF_ERROR(audit_->Append(
         AuditRecord{id, vnow(), AuditKind::kAbort, ""}));
   }
@@ -1949,9 +1961,11 @@ Status Database::BackgroundRecoveryStep(bool* done, RestartReport* report) {
       RecoverySource::kBackground, work.size(),
       target->records_applied - records_before, clock_.now_ns());
   m_background_ns_->Record(static_cast<double>(clock_.now_ns() - start_ns));
-  tracer_.Span(obs::Track::kMainCpu, "recovery",
-               "background batch (" + std::to_string(work.size()) + ")",
-               start_ns, clock_.now_ns() - start_ns);
+  if (tracer_.enabled()) {
+    tracer_.Span(obs::Track::kMainCpu, "recovery",
+                 "background batch (" + std::to_string(work.size()) + ")",
+                 start_ns, clock_.now_ns() - start_ns);
+  }
   return Status::OK();
 }
 

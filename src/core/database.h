@@ -658,11 +658,14 @@ class Database {
   /// Fences epochs, then drains every stream's committed backlog.
   Status DrainAllStreams(uint64_t now_ns);
   /// Multi-stream partition recovery: reads every stream's log chain for
-  /// `bin_index` (streams proceed concurrently on their own disk pairs),
-  /// parses the epoch-framed records, and merges them by (epoch, csn)
-  /// into group-commit order. `*done_ns` is the latest read completion.
+  /// `bin_index` (streams proceed concurrently on their own disk pairs)
+  /// into `*stream_bytes`, one buffer per stream, parses the
+  /// epoch-framed records, and merges them by (epoch, csn) into
+  /// group-commit order. The merged views borrow `*stream_bytes`, which
+  /// must outlive them. `*done_ns` is the latest read completion.
   Status CollectMergedRecords(uint32_t bin_index, uint64_t now_ns,
-                              std::vector<LogRecord>* records,
+                              std::vector<std::vector<uint8_t>>* stream_bytes,
+                              std::vector<LogRecordView>* records,
                               uint64_t* pages_read, uint64_t* done_ns);
 
   void MainWork(double instructions);

@@ -95,7 +95,11 @@ Status Database::RebuildPartition(const RecoveryWorkItem& item,
   MMDB_RETURN_IF_ERROR(
       LoadPartitionImage(item, bin_idx.value(), ready_ns, &part, &t));
 
-  std::vector<LogRecord> records;
+  // The parsed records borrow these bytes until the apply ends: the one
+  // stream of the bin, or one per log stream in partitioned-log mode.
+  std::vector<uint8_t> stream;
+  std::vector<std::vector<uint8_t>> stream_bytes;
+  std::vector<LogRecordView> records;
   uint64_t pages = 0;
   if (extra_streams_.empty()) {
     // Ordered log page reads once the image is in: anchors backward, then
@@ -105,7 +109,6 @@ Status Database::RebuildPartition(const RecoveryWorkItem& item,
     uint64_t backward = 0;
     MMDB_RETURN_IF_ERROR(
         recovery_->CollectPageList(bin_idx.value(), t, &lsns, &backward, &t));
-    std::vector<uint8_t> stream;
     for (uint64_t lsn : lsns) {
       ParsedLogPage page;
       MMDB_RETURN_IF_ERROR(
@@ -127,12 +130,13 @@ Status Database::RebuildPartition(const RecoveryWorkItem& item,
     // group-commit order. The apply is gated on the slowest of them.
     uint64_t merged_done = ready_ns;
     MMDB_RETURN_IF_ERROR(CollectMergedRecords(bin_idx.value(), ready_ns,
-                                              &records, &pages, &merged_done));
+                                              &stream_bytes, &records, &pages,
+                                              &merged_done));
     t = std::max(t, merged_done);
   }
 
   MMDB_RETURN_IF_ERROR(RestartApplySite(item.pid, t));
-  for (const LogRecord& rec : records) {
+  for (const LogRecordView& rec : records) {
     MMDB_RETURN_IF_ERROR(ApplyLogRecord(rec, part.get()));
   }
   *out = std::move(part);
@@ -215,6 +219,15 @@ Status Database::RecoverPartitionsParallel(
 
   size_t next_item = 0;
 
+  // A span on a lane's track, named after its partition; the name is
+  // only built when tracing is on.
+  auto lane_span = [&](size_t lane, const char* what, PartitionId pid,
+                       uint64_t start_ns, uint64_t dur_ns) {
+    if (!tracer_.enabled()) return;
+    tracer_.Span(obs::LaneTrack(static_cast<uint32_t>(lane)), "recovery",
+                 std::string(what) + " " + pid.ToString(), start_ns, dur_ns);
+  };
+
   std::function<void(size_t, uint64_t)> start_task;
   std::function<void(size_t, std::shared_ptr<Task>, uint64_t)> walk_step;
   std::function<void(size_t, std::shared_ptr<Task>, uint64_t)> read_and_apply;
@@ -246,9 +259,7 @@ Status Database::RecoverPartitionsParallel(
       return;
     }
     if (item.ckpt_page != kNoCheckpointPage) {
-      tracer_.Span(obs::LaneTrack(static_cast<uint32_t>(lane)), "recovery",
-                   "image " + item.pid.ToString(), now,
-                   task->image_done_ns - now);
+      lane_span(lane, "image", item.pid, now, task->image_done_ns - now);
     }
 
     // Backward anchor walk (§2.5.1): overlaps the image transfer when
@@ -328,9 +339,8 @@ Status Database::RecoverPartitionsParallel(
       ++report->log_pages_read;
     }
     if (!task->known.empty()) {
-      tracer_.Span(obs::LaneTrack(static_cast<uint32_t>(lane)), "recovery",
-                   "log " + task->pid.ToString(), task->walk_start_ns,
-                   last_read_done - task->walk_start_ns);
+      lane_span(lane, "log", task->pid, task->walk_start_ns,
+                last_read_done - task->walk_start_ns);
     }
 
     // The bin's stable active page: a stable-memory read, no disk time.
@@ -347,7 +357,7 @@ Status Database::RecoverPartitionsParallel(
       chunk_avail.push_back(last_read_done);
     }
 
-    std::vector<LogRecord> records;
+    std::vector<LogRecordView> records;
     Status st = ParseLogStream(stream, &records);
     if (!st.ok()) {
       sched.Fail(st);
@@ -368,24 +378,20 @@ Status Database::RecoverPartitionsParallel(
     uint64_t first_apply_start = 0;
     bool any_apply = false;
     size_t rec_i = 0;
-    size_t cursor = 0;
     for (size_t c = 0; c < chunk_end.size(); ++c) {
       uint64_t data_ready =
           opts_.pipelined_recovery ? chunk_avail[c] : chunk_avail.back();
       uint64_t n = 0;
       while (rec_i < records.size()) {
-        size_t sz = 0;
-        MMDB_CHECK(LogRecord::PeekSize(
-            std::span<const uint8_t>(stream.data() + cursor,
-                                     stream.size() - cursor),
-            &sz));
-        if (cursor + sz > chunk_end[c]) break;  // completes in a later chunk
-        Status ast = ApplyLogRecord(records[rec_i], task->part.get());
+        const LogRecordView& rec = records[rec_i];
+        size_t rec_end = static_cast<size_t>(
+            rec.stored.data() + rec.stored.size() - stream.data());
+        if (rec_end > chunk_end[c]) break;  // completes in a later chunk
+        Status ast = ApplyLogRecord(rec, task->part.get());
         if (!ast.ok()) {
           sched.Fail(ast);
           return;
         }
-        cursor += sz;
         ++rec_i;
         ++n;
       }
@@ -405,9 +411,8 @@ Status Database::RecoverPartitionsParallel(
     }
     MMDB_CHECK(rec_i == records.size());
     if (any_apply) {
-      tracer_.Span(obs::LaneTrack(static_cast<uint32_t>(lane)), "recovery",
-                   "apply " + task->pid.ToString(), first_apply_start,
-                   apply_done - first_apply_start);
+      lane_span(lane, "apply", task->pid, first_apply_start,
+                apply_done - first_apply_start);
     }
 
     uint64_t finish = std::max({apply_done, last_read_done,
@@ -419,9 +424,8 @@ Status Database::RecoverPartitionsParallel(
         return;
       }
       ++report->partitions_recovered;
-      tracer_.Span(obs::LaneTrack(static_cast<uint32_t>(lane)), "recovery",
-                   "recover " + task->pid.ToString(), task->start_ns,
-                   t - task->start_ns);
+      lane_span(lane, "recover", task->pid, task->start_ns,
+                t - task->start_ns);
       start_task(lane, t);  // lane pulls its next partition
     });
   };

@@ -133,8 +133,10 @@ Status Database::InstallSweepPartition(std::unique_ptr<Partition> part,
   recovery_progress_.OnPartitionsRecovered(RecoverySource::kBackground, 1,
                                            records_applied, install_ns);
   m_background_ns_->Record(static_cast<double>(install_ns - start_ns));
-  tracer_.Span(obs::LaneTrack(lane), "recovery", "sweep " + pid.ToString(),
-               start_ns, install_ns - start_ns);
+  if (tracer_.enabled()) {
+    tracer_.Span(obs::LaneTrack(lane), "recovery", "sweep " + pid.ToString(),
+                 start_ns, install_ns - start_ns);
+  }
   *installed = true;
   return Status::OK();
 }

@@ -8,19 +8,15 @@
 namespace mmdb {
 
 Status ParseLogStream(std::span<const uint8_t> stream,
-                      std::vector<LogRecord>* records, bool with_epoch) {
+                      std::vector<LogRecordView>* records, bool with_epoch) {
+  // Every record is at least a header long, so this bounds the count and
+  // the parse never reallocates.
+  records->reserve(records->size() + stream.size() / LogRecord::kHeaderBytes);
   wire::Reader r(stream);
   while (r.remaining() > 0) {
-    uint32_t epoch = 0;
-    uint64_t csn = 0;
-    if (with_epoch && (!r.GetU32(&epoch) || !r.GetU64(&csn))) {
-      return Status::Corruption("truncated epoch frame");
-    }
-    auto rec = LogRecord::Parse(&r);
+    auto rec = ParseLogRecordView(&r, with_epoch);
     if (!rec.ok()) return rec.status();
-    rec.value().epoch = epoch;
-    rec.value().csn = csn;
-    records->push_back(std::move(rec).value());
+    records->push_back(rec.value());
   }
   return Status::OK();
 }
@@ -40,7 +36,7 @@ void LogDiskWriter::NoteFlush(const char* kind, PartitionId pid,
     m_flush_ns_->Record(static_cast<double>(done_ns - now_ns));
     m_next_lsn_->Set(static_cast<double>(next_lsn_));
   }
-  if (tracer_ != nullptr) {
+  if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->Span(obs::Track::kLogDisk, "log",
                   std::string(kind) + " " + pid.ToString(), now_ns,
                   done_ns - now_ns);

@@ -37,11 +37,14 @@ struct ParsedLogPage {
   std::vector<uint8_t> payload;
 };
 
-/// Parses a complete record stream (concatenated page payloads). With
+/// Parses a complete record stream (concatenated page payloads) into
+/// views that borrow `stream`'s bytes: the stream must outlive them. With
 /// `with_epoch` set, every record is preceded by the 12-byte epoch frame
 /// (multi-stream log format) and the parsed records carry epoch/csn.
+/// Each view's `stored` span ends at the record's last byte, so callers
+/// that consume the stream in chunks read record boundaries off it.
 Status ParseLogStream(std::span<const uint8_t> stream,
-                      std::vector<LogRecord>* records,
+                      std::vector<LogRecordView>* records,
                       bool with_epoch = false);
 
 /// Writer/reader of the duplexed log disks, and keeper of the *log

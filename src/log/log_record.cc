@@ -6,15 +6,13 @@
 namespace mmdb {
 
 namespace {
-// Common header: op(1) + bin(4) + txn(8) + partition(8) + slot(4).
-constexpr size_t kHeaderSize = 1 + 4 + 8 + 8 + 4;
-}  // namespace
+constexpr size_t kHeaderSize = LogRecord::kHeaderBytes;
 
-size_t LogRecord::SerializedSize() const {
+size_t WireSize(LogOp op, size_t data_bytes) {
   switch (op) {
     case LogOp::kInsert:
     case LogOp::kUpdate:
-      return kHeaderSize + 2 + data.size();
+      return kHeaderSize + 2 + data_bytes;
     case LogOp::kDelete:
       return kHeaderSize;
     case LogOp::kNodeInsertEntry:
@@ -22,6 +20,13 @@ size_t LogRecord::SerializedSize() const {
       return kHeaderSize + 8 + 12;
   }
   return kHeaderSize;
+}
+}  // namespace
+
+size_t LogRecord::SerializedSize() const { return WireSize(op, data.size()); }
+
+size_t LogRecordView::SerializedSize() const {
+  return WireSize(op, data.size());
 }
 
 void LogRecord::AppendTo(std::vector<uint8_t>* out) const {
@@ -47,42 +52,27 @@ void LogRecord::AppendTo(std::vector<uint8_t>* out) const {
   }
 }
 
-void LogRecord::AppendEpochFrame(std::vector<uint8_t>* out) const {
-  wire::PutU32(out, epoch);
-  wire::PutU64(out, csn);
+LogRecordView LogRecord::View() const {
+  LogRecordView v;
+  v.op = op;
+  v.bin_index = bin_index;
+  v.txn_id = txn_id;
+  v.partition = partition;
+  v.slot = slot;
+  v.data = data;
+  v.key = key;
+  v.child = child;
+  v.epoch = epoch;
+  v.csn = csn;
+  return v;
 }
 
-bool LogRecord::ParseEpochFrame(wire::Reader* r) {
-  return r->GetU32(&epoch) && r->GetU64(&csn);
-}
-
-bool LogRecord::PeekSize(std::span<const uint8_t> buf, size_t* size) {
-  if (buf.empty()) return false;
-  switch (static_cast<LogOp>(buf[0])) {
-    case LogOp::kInsert:
-    case LogOp::kUpdate: {
-      if (buf.size() < kHeaderSize + 2) return false;
-      uint16_t len = static_cast<uint16_t>(
-          buf[kHeaderSize] | (buf[kHeaderSize + 1] << 8));
-      *size = kHeaderSize + 2 + len;
-      return true;
-    }
-    case LogOp::kDelete:
-      *size = kHeaderSize;
-      return true;
-    case LogOp::kNodeInsertEntry:
-    case LogOp::kNodeRemoveEntry:
-      *size = kHeaderSize + 8 + 12;
-      return true;
+Result<LogRecordView> ParseLogRecordView(wire::Reader* r, bool with_epoch) {
+  const size_t start = r->pos();
+  LogRecordView rec;
+  if (with_epoch && (!r->GetU32(&rec.epoch) || !r->GetU64(&rec.csn))) {
+    return Status::Corruption("truncated epoch frame");
   }
-  // Unknown op: report the header size so the caller's Parse sees (and
-  // rejects) the same bytes instead of stalling forever.
-  *size = kHeaderSize;
-  return true;
-}
-
-Result<LogRecord> LogRecord::Parse(wire::Reader* r) {
-  LogRecord rec;
   uint8_t op;
   uint64_t part;
   if (!r->GetU8(&op) || !r->GetU32(&rec.bin_index) || !r->GetU64(&rec.txn_id) ||
@@ -97,11 +87,9 @@ Result<LogRecord> LogRecord::Parse(wire::Reader* r) {
     case LogOp::kUpdate: {
       uint16_t len;
       if (!r->GetU16(&len)) return Status::Corruption("truncated log record");
-      std::span<const uint8_t> bytes;
-      if (!r->GetBytes(len, &bytes)) {
+      if (!r->GetBytes(len, &rec.data)) {
         return Status::Corruption("truncated log record payload");
       }
-      rec.data.assign(bytes.begin(), bytes.end());
       break;
     }
     case LogOp::kDelete:
@@ -116,6 +104,7 @@ Result<LogRecord> LogRecord::Parse(wire::Reader* r) {
       break;
     }
   }
+  rec.stored = r->ConsumedSince(start);
   return rec;
 }
 
@@ -132,7 +121,7 @@ std::string LogRecord::ToString() const {
          partition.ToString() + " slot=" + std::to_string(slot);
 }
 
-Status ApplyLogRecord(const LogRecord& rec, Partition* partition) {
+Status ApplyLogRecord(const LogRecordView& rec, Partition* partition) {
   if (partition->id() != rec.partition) {
     return Status::InvalidArgument("record applied to wrong partition");
   }

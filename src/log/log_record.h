@@ -37,7 +37,12 @@ enum class LogOp : uint8_t {
   kNodeRemoveEntry = 5,
 };
 
-/// One REDO (or, in the volatile UNDO space, UNDO) log record.
+struct LogRecordView;
+
+/// One REDO (or, in the volatile UNDO space, UNDO) log record that owns
+/// its payload: built by transactions (SLB appends) and by MakeUndo.
+/// Records read back from stable memory or the log disks are never
+/// materialized as LogRecords; they are parsed into LogRecordViews.
 struct LogRecord {
   LogOp op = LogOp::kInsert;
   uint32_t bin_index = 0;  // direct index into the Stable Log Tail bin table
@@ -62,37 +67,58 @@ struct LogRecord {
   /// Size of the epoch frame prefix in multi-stream log pages.
   static constexpr size_t kEpochFrameBytes = 4 + 8;
 
+  /// The common header — op(1) + bin(4) + txn(8) + partition(8) +
+  /// slot(4) — and so the size of the smallest record, a delete.
+  static constexpr size_t kHeaderBytes = 1 + 4 + 8 + 8 + 4;
+
   /// Exact on-wire size in bytes (header + payload), excluding any epoch
   /// frame prefix.
   size_t SerializedSize() const;
 
-  /// Writes the multi-stream epoch frame prefix ([epoch u32 | csn u64]).
-  void AppendEpochFrame(std::vector<uint8_t>* out) const;
-
-  /// Reads an epoch frame prefix into `epoch`/`csn`.
-  bool ParseEpochFrame(wire::Reader* r);
-
   void AppendTo(std::vector<uint8_t>* out) const;
 
-  /// Parses one record at the reader's cursor.
-  static Result<LogRecord> Parse(wire::Reader* r);
-
-  /// Determines the on-wire size of the record starting at `buf` without
-  /// parsing it. Records are self-delimiting, so a stream arriving one
-  /// log page at a time can be consumed incrementally: returns false when
-  /// `buf` is too short to even hold the size information (the record's
-  /// tail is on a later page), true with `*size` (which may still exceed
-  /// buf.size()) otherwise.
-  static bool PeekSize(std::span<const uint8_t> buf, size_t* size);
+  /// A view of this record; its `data` borrows this record's payload and
+  /// its `stored` is empty (the record was never serialized).
+  LogRecordView View() const;
 
   std::string ToString() const;
 };
+
+/// A parsed log record that borrows its bytes: the fields of LogRecord,
+/// with `data` a span into the buffer the record was parsed from. Valid
+/// only while that buffer lives and is not modified.
+struct LogRecordView {
+  LogOp op = LogOp::kInsert;
+  uint32_t bin_index = 0;
+  uint64_t txn_id = 0;
+  PartitionId partition;
+  uint32_t slot = 0;
+  std::span<const uint8_t> data;
+  int64_t key = 0;
+  EntityAddr child;
+  uint32_t epoch = 0;
+  uint64_t csn = 0;
+  /// The bytes the view was parsed from: the record's wire image,
+  /// preceded by its epoch frame when it was parsed with one. Copying
+  /// them moves the record without re-serializing it.
+  std::span<const uint8_t> stored;
+
+  /// Exact on-wire size in bytes, excluding any epoch frame prefix.
+  size_t SerializedSize() const;
+};
+
+/// Parses one record at the reader's cursor, preceded by its epoch frame
+/// when `with_epoch` is set. The only log-record parser: on success every
+/// span of the view lies inside the reader's buffer; malformed or
+/// truncated input ends in Corruption.
+Result<LogRecordView> ParseLogRecordView(wire::Reader* r,
+                                         bool with_epoch = false);
 
 /// Applies a single REDO (or UNDO) record to its partition. Records are
 /// deterministic: applying the committed record sequence, in commit
 /// order, to a transaction-consistent checkpoint image reproduces the
 /// partition exactly.
-Status ApplyLogRecord(const LogRecord& rec, Partition* partition);
+Status ApplyLogRecord(const LogRecordView& rec, Partition* partition);
 
 /// Builds the UNDO (inverse) record for a REDO record given the
 /// pre-image state. `pre_image` is the entity's bytes before the change

@@ -150,7 +150,8 @@ bool StableLogBuffer::HasCommittedRecords(uint32_t max_epoch) const {
   return false;
 }
 
-Result<LogRecord> StableLogBuffer::PopCommitted(uint32_t max_epoch) {
+Result<LogRecordView> StableLogBuffer::PopCommitted(
+    std::vector<uint8_t>* scratch, bool epoch_frame, uint32_t max_epoch) {
   while (!committed_.empty()) {
     Chain& chain = committed_.front();
     if (chain.blocks.empty() || chain.records == 0) {
@@ -172,8 +173,19 @@ Result<LogRecord> StableLogBuffer::PopCommitted(uint32_t max_epoch) {
     }
     wire::Reader r(std::span<const uint8_t>(b.buf.data() + read_offset_,
                                             b.used - read_offset_));
-    auto rec = LogRecord::Parse(&r);
-    if (!rec.ok()) return rec.status();
+    auto in_block = ParseLogRecordView(&r);
+    if (!in_block.ok()) return in_block.status();
+    // The block may be released below: move the record's bytes out first
+    // and re-point the view at the copy.
+    scratch->clear();
+    if (epoch_frame) {
+      wire::PutU32(scratch, chain.epoch);
+      wire::PutU64(scratch, chain.csn);
+    }
+    wire::PutBytes(scratch, in_block.value().stored);
+    wire::Reader copy(*scratch);
+    auto rec = ParseLogRecordView(&copy, epoch_frame);
+    MMDB_CHECK(rec.ok());
     rec.value().epoch = chain.epoch;
     rec.value().csn = chain.csn;
     meter_->ChargeRead(r.pos());

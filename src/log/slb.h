@@ -129,8 +129,14 @@ class StableLogBuffer {
 
   /// Pops the next committed record, in commit order, subject to the
   /// same epoch bound. Frees fully consumed blocks back to the
-  /// stable-memory budget. The record carries its chain's epoch/csn.
-  Result<LogRecord> PopCommitted(uint32_t max_epoch = UINT32_MAX);
+  /// stable-memory budget. The record's stored bytes are copied into
+  /// `*scratch` (replacing its contents), preceded by the chain's
+  /// [epoch | csn] frame when `epoch_frame` is set, and the returned view
+  /// borrows them: its `stored` span is exactly what a bin appends. The
+  /// view carries its chain's epoch/csn either way.
+  Result<LogRecordView> PopCommitted(std::vector<uint8_t>* scratch,
+                                     bool epoch_frame = false,
+                                     uint32_t max_epoch = UINT32_MAX);
 
   /// Crash semantics for partitioned-log mode: committed chains whose
   /// epoch was not yet persisted by this chain's stream (`epoch >

@@ -229,9 +229,11 @@ Status Checkpointer::RunOne(CheckpointRequest* req, uint32_t stream) {
   db.m_ckpt_completed_->Add(1);
   db.m_ckpt_duration_ns_->Record(
       static_cast<double>(db.clock_.now_ns() - ckpt_start_ns));
-  db.tracer_.Span(obs::Track::kCheckpointDisk, "checkpoint",
-                  "checkpoint " + pid.ToString(), ckpt_start_ns,
-                  db.clock_.now_ns() - ckpt_start_ns);
+  if (db.tracer_.enabled()) {
+    db.tracer_.Span(obs::Track::kCheckpointDisk, "checkpoint",
+                    "checkpoint " + pid.ToString(), ckpt_start_ns,
+                    db.clock_.now_ns() - ckpt_start_ns);
+  }
 
   // Roll retired log extents onto the archive.
   MMDB_RETURN_IF_ERROR(

@@ -43,7 +43,8 @@ Result<uint64_t> RecoveryManager::Pump(uint64_t max_records, uint64_t now_ns,
     // Pop + bin-append are one atomic stable transition: the record is
     // released from the SLB only once it is safely binned.
     fault::AtomicSection atomic(fault_);
-    auto rec = slb_->PopCommitted(max_epoch);
+    auto rec =
+        slb_->PopCommitted(&sort_scratch_, config_.epoch_framing, max_epoch);
     if (!rec.ok()) return rec.status();
     MMDB_RETURN_IF_ERROR(SortOne(rec.value(), now_ns));
     ++n;
@@ -55,14 +56,15 @@ Status RecoveryManager::Drain(uint64_t now_ns, uint32_t max_epoch) {
   while (slb_->HasCommittedRecords(max_epoch)) {
     MMDB_RETURN_IF_ERROR(fault::Barrier(fault_));
     fault::AtomicSection atomic(fault_);
-    auto rec = slb_->PopCommitted(max_epoch);
+    auto rec =
+        slb_->PopCommitted(&sort_scratch_, config_.epoch_framing, max_epoch);
     if (!rec.ok()) return rec.status();
     MMDB_RETURN_IF_ERROR(SortOne(rec.value(), now_ns));
   }
   return Status::OK();
 }
 
-Status RecoveryManager::SortOne(const LogRecord& rec, uint64_t now_ns) {
+Status RecoveryManager::SortOne(const LogRecordView& rec, uint64_t now_ns) {
   const analysis::Table2& c = config_.costs;
   size_t rec_bytes = rec.SerializedSize();
 
@@ -79,14 +81,10 @@ Status RecoveryManager::SortOne(const LogRecord& rec, uint64_t now_ns) {
     return Status::Corruption("log record bin index does not match partition");
   }
 
-  // Serialize into the reusable scratch buffer: the sort process runs
-  // once per logged record, so a fresh vector here is a heap
-  // allocation per record. Multi-stream bins carry the epoch frame so
-  // restart can merge streams in group-commit order.
-  sort_scratch_.clear();
-  if (config_.epoch_framing) rec.AppendEpochFrame(&sort_scratch_);
-  rec.AppendTo(&sort_scratch_);
-  MMDB_RETURN_IF_ERROR(slt_->AppendToActivePage(rec.bin_index, sort_scratch_));
+  // The record's stored bytes (epoch-framed in multi-stream bins, so
+  // restart can merge streams in group-commit order) move to the bin
+  // as they are: no parse-and-reserialize round trip.
+  MMDB_RETURN_IF_ERROR(slt_->AppendToActivePage(rec.bin_index, rec.stored));
 
   // Flush every full page of the bin's record stream (large records may
   // span pages, so one append can complete several pages).

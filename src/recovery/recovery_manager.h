@@ -119,7 +119,7 @@ class RecoveryManager {
   }
 
  private:
-  Status SortOne(const LogRecord& rec, uint64_t now_ns);
+  Status SortOne(const LogRecordView& rec, uint64_t now_ns);
   Status FlushBin(uint32_t bin_index, PartitionBin* bin, uint64_t now_ns);
   void CheckAgeTriggers();
   void UpdateWindowSlack();
@@ -142,8 +142,8 @@ class RecoveryManager {
   std::vector<uint8_t> combine_buf_;
   uint32_t combine_records_ = 0;
 
-  /// Reusable serialization buffer for SortOne (one record at a time;
-  /// avoids a heap allocation per sorted record).
+  /// The record in flight between the SLB pop and its bin append (one at
+  /// a time; reusing it avoids a heap allocation per sorted record).
   std::vector<uint8_t> sort_scratch_;
 
   uint64_t records_sorted_ = 0;

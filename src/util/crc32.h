@@ -10,9 +10,11 @@ namespace mmdb {
 /// seeded with `seed` so checksums can be chained across buffers:
 /// Crc32(b, n) == Crc32(b + k, n - k, Crc32(b, k)). Used to validate
 /// checkpoint images and log pages read back from the simulated disks.
-/// On x86-64 CPUs with PCLMULQDQ a carry-less-multiply folding kernel
-/// takes the bulk of buffers of 64 bytes and up; everywhere else, and for
-/// the tail, slicing-by-16 tables. Both give the same value.
+/// On x86-64 CPUs with VPCLMULQDQ and AVX-512 a 512-bit carry-less-
+/// multiply folding kernel takes the bulk of buffers of 256 bytes and up;
+/// with PCLMULQDQ a 128-bit one takes the bulk of buffers of 64 bytes and
+/// up; everywhere else, and for the tail, slicing-by-16 tables. All give
+/// the same value.
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
 /// Byte-at-a-time reference implementation — the simulator's checksum

@@ -23,6 +23,10 @@ LogRecord MakeInsert(uint64_t txn, PartitionId pid, uint32_t bin,
   return r;
 }
 
+std::vector<uint8_t> Vec(std::span<const uint8_t> bytes) {
+  return {bytes.begin(), bytes.end()};
+}
+
 TEST(LogRecordTest, SerializeParseRoundTripAllOps) {
   std::vector<LogRecord> recs;
   recs.push_back(MakeInsert(7, {1, 2}, 3, 4, testing::Bytes({9, 8, 7})));
@@ -65,13 +69,14 @@ TEST(LogRecordTest, SerializeParseRoundTripAllOps) {
   }
   wire::Reader reader(buf);
   for (const LogRecord& want : recs) {
-    ASSERT_OK_AND_ASSIGN(LogRecord got, LogRecord::Parse(&reader));
+    ASSERT_OK_AND_ASSIGN(LogRecordView got, ParseLogRecordView(&reader));
     EXPECT_EQ(got.op, want.op);
     EXPECT_EQ(got.bin_index, want.bin_index);
     EXPECT_EQ(got.txn_id, want.txn_id);
     EXPECT_EQ(got.partition, want.partition);
     EXPECT_EQ(got.slot, want.slot);
-    EXPECT_EQ(got.data, want.data);
+    EXPECT_EQ(Vec(got.data), want.data);
+    EXPECT_EQ(got.stored.size(), want.SerializedSize());
     EXPECT_EQ(got.key, want.key);
     EXPECT_EQ(got.child, want.child);
   }
@@ -81,27 +86,27 @@ TEST(LogRecordTest, SerializeParseRoundTripAllOps) {
 TEST(LogRecordTest, ParseRejectsGarbage) {
   std::vector<uint8_t> buf = {0xFF, 0x00};
   wire::Reader r(buf);
-  EXPECT_TRUE(LogRecord::Parse(&r).status().IsCorruption());
+  EXPECT_TRUE(ParseLogRecordView(&r).status().IsCorruption());
 }
 
 TEST(LogRecordTest, ApplyAndUndoAreInverses) {
   Partition p({1, 2}, 8192, 0);
   LogRecord ins = MakeInsert(1, {1, 2}, 0, 0, testing::Bytes({5, 5}));
-  ASSERT_OK(ApplyLogRecord(ins, &p));
+  ASSERT_OK(ApplyLogRecord(ins.View(), &p));
   ASSERT_TRUE(p.SlotUsed(0));
 
   LogRecord undo_ins = MakeUndo(ins, {});
-  ASSERT_OK(ApplyLogRecord(undo_ins, &p));
+  ASSERT_OK(ApplyLogRecord(undo_ins.View(), &p));
   EXPECT_FALSE(p.SlotUsed(0));
 
   // Update + its undo restore the pre-image.
-  ASSERT_OK(ApplyLogRecord(ins, &p));
+  ASSERT_OK(ApplyLogRecord(ins.View(), &p));
   LogRecord upd = ins;
   upd.op = LogOp::kUpdate;
   upd.data = testing::Bytes({7, 7, 7});
   LogRecord undo_upd = MakeUndo(upd, testing::Bytes({5, 5}));
-  ASSERT_OK(ApplyLogRecord(upd, &p));
-  ASSERT_OK(ApplyLogRecord(undo_upd, &p));
+  ASSERT_OK(ApplyLogRecord(upd.View(), &p));
+  ASSERT_OK(ApplyLogRecord(undo_upd.View(), &p));
   ASSERT_OK_AND_ASSIGN(auto bytes, p.Read(0));
   EXPECT_EQ(std::vector<uint8_t>(bytes.begin(), bytes.end()),
             testing::Bytes({5, 5}));
@@ -111,16 +116,16 @@ TEST(LogRecordTest, ApplyAndUndoAreInverses) {
   del.op = LogOp::kDelete;
   del.data.clear();
   LogRecord undo_del = MakeUndo(del, testing::Bytes({5, 5}));
-  ASSERT_OK(ApplyLogRecord(del, &p));
+  ASSERT_OK(ApplyLogRecord(del.View(), &p));
   EXPECT_FALSE(p.SlotUsed(0));
-  ASSERT_OK(ApplyLogRecord(undo_del, &p));
+  ASSERT_OK(ApplyLogRecord(undo_del.View(), &p));
   EXPECT_TRUE(p.SlotUsed(0));
 }
 
 TEST(LogRecordTest, ApplyToWrongPartitionRejected) {
   Partition p({9, 9}, 8192, 0);
   LogRecord ins = MakeInsert(1, {1, 2}, 0, 0, testing::Bytes({5}));
-  EXPECT_TRUE(ApplyLogRecord(ins, &p).IsInvalidArgument());
+  EXPECT_TRUE(ApplyLogRecord(ins.View(), &p).IsInvalidArgument());
 }
 
 class SlbTest : public ::testing::Test {
@@ -131,6 +136,7 @@ class SlbTest : public ::testing::Test {
 
   sim::StableMemoryMeter meter_;
   StableLogBuffer slb_;
+  std::vector<uint8_t> scratch_;  // holds each popped record's bytes
 };
 
 TEST_F(SlbTest, CommitOrderPreserved) {
@@ -143,7 +149,7 @@ TEST_F(SlbTest, CommitOrderPreserved) {
   ASSERT_OK(slb_.Commit(1));
   std::vector<uint64_t> order;
   while (slb_.HasCommittedRecords()) {
-    ASSERT_OK_AND_ASSIGN(LogRecord r, slb_.PopCommitted());
+    ASSERT_OK_AND_ASSIGN(LogRecordView r, slb_.PopCommitted(&scratch_));
     order.push_back(r.txn_id * 10 + r.slot);
   }
   EXPECT_EQ(order, (std::vector<uint64_t>{21, 10, 12}));
@@ -171,7 +177,7 @@ TEST_F(SlbTest, BlocksFreedAsConsumed) {
   ASSERT_OK(slb_.Commit(1));
   uint64_t before = meter_.allocated_bytes();
   while (slb_.HasCommittedRecords()) {
-    ASSERT_OK(slb_.PopCommitted().status());
+    ASSERT_OK(slb_.PopCommitted(&scratch_).status());
   }
   EXPECT_EQ(meter_.allocated_bytes(), 0u);
   EXPECT_GT(before, 0u);
@@ -181,7 +187,7 @@ TEST_F(SlbTest, OversizedRecordGetsDedicatedBlock) {
   ASSERT_OK(slb_.Append(1, MakeInsert(1, {1, 0}, 0, 0,
                                       testing::FilledBytes(1000, 2))));
   ASSERT_OK(slb_.Commit(1));
-  ASSERT_OK_AND_ASSIGN(LogRecord r, slb_.PopCommitted());
+  ASSERT_OK_AND_ASSIGN(LogRecordView r, slb_.PopCommitted(&scratch_));
   EXPECT_EQ(r.data.size(), 1000u);
 }
 
@@ -213,7 +219,7 @@ TEST_F(SlbTest, CrashDiscardsUncommittedKeepsCommitted) {
   slb_.OnCrash();
   EXPECT_TRUE(slb_.checkpoint_requests().empty());
   ASSERT_TRUE(slb_.HasCommittedRecords());
-  ASSERT_OK_AND_ASSIGN(LogRecord r, slb_.PopCommitted());
+  ASSERT_OK_AND_ASSIGN(LogRecordView r, slb_.PopCommitted(&scratch_));
   EXPECT_EQ(r.txn_id, 1u);
   EXPECT_FALSE(slb_.HasCommittedRecords());
   EXPECT_GE(slb_.max_txn_id(), 2u);
@@ -309,7 +315,7 @@ TEST_F(LogDiskTest, FlushAndReadBack) {
   ParsedLogPage page;
   ASSERT_OK(writer_.ReadPage(0, done, sim::SeekClass::kNear, &page, &done));
   EXPECT_EQ(page.partition, (PartitionId{1, 0}));
-  std::vector<LogRecord> records;
+  std::vector<LogRecordView> records;
   ASSERT_OK(ParseLogStream(page.payload, &records));
   EXPECT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].txn_id, 42u);
@@ -373,7 +379,7 @@ TEST_F(LogDiskTest, ArchivePagesTagged) {
   ParsedLogPage page;
   ASSERT_OK(writer_.ReadPage(lsn, done, sim::SeekClass::kNear, &page, &done));
   EXPECT_EQ(page.partition.Pack(), kArchiveCombinedTag);
-  std::vector<LogRecord> records;
+  std::vector<LogRecordView> records;
   ASSERT_OK(ParseLogStream(page.payload, &records));
   EXPECT_EQ(records.size(), 1u);
 }
@@ -397,10 +403,10 @@ TEST_F(LogDiskTest, LargeRecordSpansPages) {
   ASSERT_OK(writer_.ReadPage(0, done, sim::SeekClass::kNear, &page, &done));
   std::vector<uint8_t> stream = page.payload;
   stream.insert(stream.end(), bin.active_page.begin(), bin.active_page.end());
-  std::vector<LogRecord> records;
+  std::vector<LogRecordView> records;
   ASSERT_OK(ParseLogStream(stream, &records));
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].data, testing::FilledBytes(2500, 7));
+  EXPECT_EQ(Vec(records[0].data), testing::FilledBytes(2500, 7));
 }
 
 TEST_F(LogDiskTest, CorruptPageDetected) {

@@ -26,9 +26,10 @@ struct Rig {
   std::unique_ptr<Database> db;
   std::map<int64_t, EntityAddr> addrs;
 
-  Status Setup(int64_t rows = 8) {
+  Status Setup(int64_t rows = 8, bool tracing = false) {
     DatabaseOptions o;
     o.n_update = 1ull << 30;  // no mid-test checkpoints
+    o.enable_tracing = tracing;
     db = std::make_unique<Database>(o);
     MMDB_RETURN_IF_ERROR(db->CreateRelation("r", RowSchema()));
     auto t = db->Begin();
@@ -128,6 +129,44 @@ TEST(MvccTest, AbortUnlinksUncommittedVersions) {
   ASSERT_OK(rig.db->Commit(after));
   (void)rig.db->PruneVersions();
   EXPECT_EQ(rig.db->mvcc_versions_live(), 0u);
+}
+
+TEST(MvccTest, AbortingASnapshotReaderEndsItsSnapshot) {
+  for (bool tracing : {false, true}) {
+    SCOPED_TRACE(tracing ? "tracing on" : "tracing off");
+    Rig rig;
+    ASSERT_OK(rig.Setup(8, tracing));
+
+    // A writer commits under a live snapshot, so the store keeps the
+    // version that snapshot still reads.
+    ASSERT_OK_AND_ASSIGN(Transaction * reader, rig.BeginSnapshot());
+    const uint64_t reader_id = reader->id();
+    {
+      auto w = rig.db->Begin();
+      ASSERT_OK(w.status());
+      ASSERT_OK(rig.db->Update(w.value(), "r", rig.addrs.at(4), Tuple{4, 1}));
+      ASSERT_OK(rig.db->Commit(w.value()));
+    }
+    ASSERT_GT(rig.db->mvcc_versions_live(), 0u);
+    const uint64_t aborted = rig.db->metrics().counter_value("txn.aborted");
+    const size_t events = rig.db->tracer().event_count();
+
+    // Aborting the reader ends its snapshot: with none left, the kept
+    // versions are pruned on the spot. The abort is counted, and traced
+    // only when tracing is on.
+    ASSERT_OK(rig.db->Abort(reader));
+    EXPECT_EQ(rig.db->mvcc_versions_live(), 0u);
+    EXPECT_EQ(rig.db->metrics().counter_value("txn.aborted"), aborted + 1);
+    const std::string span = "txn " + std::to_string(reader_id) + " (abort)";
+    EXPECT_EQ(rig.db->tracer().event_count(), events + (tracing ? 1 : 0));
+    EXPECT_EQ(rig.db->tracer().ToJson().find(span) != std::string::npos,
+              tracing);
+
+    ASSERT_OK_AND_ASSIGN(Transaction * after, rig.BeginSnapshot());
+    ASSERT_OK_AND_ASSIGN(auto row, rig.db->Read(after, "r", rig.addrs.at(4)));
+    EXPECT_EQ(ValueOf(row), 1);
+    ASSERT_OK(rig.db->Commit(after));
+  }
 }
 
 TEST(MvccTest, ReadOnlyTransactionsRejectWrites) {

@@ -76,11 +76,11 @@ TEST(Crc32Test, SeedChaining) {
   const char* s = "hello world";
   EXPECT_EQ(Crc32(s, 11), 0x0d4a1185u);
   EXPECT_EQ(Crc32(s + 5, 6, Crc32(s, 5)), Crc32(s, 11));
-  // Splits at every offset up to 200 put the seam on both sides of the
-  // folding kernel's 16- and 64-byte block boundaries.
+  // Splits at every offset up to 600 put the seam on both sides of the
+  // folding kernels' 16-, 64- and 256-byte block boundaries.
   std::vector<uint8_t> buf = testing::FilledBytes(1024, 9);
   uint32_t whole = Crc32(buf.data(), buf.size());
-  for (size_t split = 0; split <= 200; ++split) {
+  for (size_t split = 0; split <= 600; ++split) {
     EXPECT_EQ(Crc32(buf.data() + split, buf.size() - split,
                     Crc32(buf.data(), split)),
               whole)
@@ -96,7 +96,8 @@ TEST(Crc32Test, DetectsBitFlip) {
 }
 
 // Checks one CRC body against the byte-serial reference: every length
-// 0..1100 (short buffers, the kernel's 64-byte entry, 16-byte tails),
+// 0..1100 (short buffers, the kernels' 64- and 256-byte entries, 16-byte
+// tails),
 // a log page and a checkpoint image, at every start offset 0..15, with
 // seed 0 and a random seed.
 void ExpectMatchesReference(uint32_t (*crc)(const void*, size_t, uint32_t)) {
@@ -135,6 +136,13 @@ TEST(Crc32Test, ClmulKernelMatchesReference) {
     GTEST_SKIP() << "no PCLMULQDQ/SSE4.1 kernel on this target or CPU";
   }
   ExpectMatchesReference(&crc32_internal::ClmulCrc32);
+}
+
+TEST(Crc32Test, WideClmulKernelMatchesReference) {
+  if (!crc32_internal::HasWideClmulKernel()) {
+    GTEST_SKIP() << "no VPCLMULQDQ/AVX-512 kernel on this target or CPU";
+  }
+  ExpectMatchesReference(&crc32_internal::WideClmulCrc32);
 }
 
 TEST(Crc32Test, ReferenceToggleRoutesFastPath) {
